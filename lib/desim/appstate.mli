@@ -1,7 +1,7 @@
-(** Per-application dataflow state shared by the simulation engines
-    ({!Engine} and {!Preemptive}): token counts, firing counts, iteration
-    bookkeeping and per-processor busy time.  The arbitration-specific state
-    (queues, wheel positions, pause/resume) stays in each engine. *)
+(** Per-application dataflow state of the preemptive TDMA engine
+    ({!Preemptive}): token counts, firing counts, iteration bookkeeping and
+    per-processor busy time.  {!Engine} shares only the [app]/[result] types
+    and {!validate}; it keeps its own flat state over all applications. *)
 
 type app = {
   graph : Sdf.Graph.t;

@@ -1,3 +1,24 @@
+(* Flat-array discrete-event engine.
+
+   Every actor of every application gets a global id, [app_off.(a) + actor],
+   so ascending ids are ascending (app, actor) pairs; channels are numbered
+   the same way.  All run state lives in int and float arrays sized once per
+   run, and the firing loop allocates nothing when [on_event] and
+   [firing_time] are absent.  As in [Contention.Kernel], that holds on a
+   non-flambda compiler because:
+
+   - floats cross function boundaries through the [f] register array, never
+     as arguments or results (either would be boxed);
+   - every helper is a top-level function taking the state explicitly, so no
+     closure is built per firing;
+   - [Start]/[Finish] records are built only inside the [on_event] branch.
+
+   Four tie-breaks fix the event order, and test/test_engine_diff.ml holds
+   it bit-identical to the reference engine there: the heap orders
+   completions by (time, insertion sequence), the FCFS ring keeps arrival
+   order, completions at one instant are drained before any processor
+   picks, and idle processors pick in ascending processor order. *)
+
 type app = Appstate.app = { graph : Sdf.Graph.t; mapping : int array }
 
 type event =
@@ -21,54 +42,401 @@ type stats = {
 
 type arbitration = Fcfs | Fixed_priority | Static_order of (int * int) array array
 
-type actor_state = Idle | Queued | Running
+(* Actor states. *)
+let idle = 0
+let queued = 1
+let running = 2
 
-(* Remove one occurrence of [chosen] from the queue, preserving the arrival
-   order of the rest. *)
-let remove_from_queue queue chosen =
-  let rest = Queue.create () in
-  let removed = ref false in
-  Queue.iter
-    (fun entry ->
-      if (not !removed) && entry = chosen then removed := true
-      else Queue.add entry rest)
-    queue;
-  Queue.clear queue;
-  Queue.transfer rest queue;
-  !removed
+(* Float registers. *)
+let r_now = 0 (* time of the instant being processed; the final time at exit *)
+let r_tau = 1 (* duration of the firing being started *)
+let r_due = 2 (* completion time handed to [heap_push] *)
 
-(* Remove and return the queued entry the policy selects; FCFS is the plain
-   queue head, fixed priority scans for the minimal (app, actor) pair, and
-   static order waits for the next scheduled entry (tracked by [order_pos]). *)
-let take_next arbitration order_pos proc queue =
-  match arbitration with
-  | Fcfs -> Queue.take_opt queue
-  | Fixed_priority ->
-      if Queue.is_empty queue then None
+type t = {
+  arbitration : arbitration;  (* dispatch only; static orders live in [so] *)
+  warmup : int;
+  procs : int;
+  on_event : (event -> unit) option;
+  firing_time : (app:int -> actor:int -> float) option;
+  f : float array;
+  (* Actors, by global id. *)
+  app_off : int array;  (* [napps + 1] prefix sums of actor counts *)
+  app_of : int array;
+  proc_of : int array;
+  exec : float array;
+  state : int array;
+  in_off : int array;  (* CSR: input channels of actor [g] are *)
+  in_ch : int array;  (*   [in_ch.(in_off.(g) .. in_off.(g + 1) - 1)] *)
+  out_off : int array;  (* CSR of output channels, ascending channel id *)
+  out_ch : int array;
+  (* Channels, by global id. *)
+  ch_dst : int array;
+  produce : int array;
+  consume : int array;
+  tokens : int array;
+  (* Processors.  The actors mapped to [p] are
+     [pa.(pa_off.(p) .. pa_off.(p + 1) - 1)] in ascending id; the same slice
+     of [ring] is [p]'s FCFS ready queue, starting at [head.(p)]. *)
+  pa_off : int array;
+  pa : int array;
+  ring : int array;
+  head : int array;
+  waiting : int array;  (* queued actors per processor *)
+  serving : int array;  (* running actor per processor, -1 when idle *)
+  proc_busy : float array;
+  (* Static order: processor [p] cycles through
+     [so.(so_off.(p) .. so_off.(p + 1) - 1)], next at [so_pos.(p)]. *)
+  so_off : int array;
+  so : int array;
+  so_pos : int array;
+  (* Completion heap over parallel arrays, keyed by (time, seq).  A processor
+     has at most one firing in flight, so [procs] slots suffice. *)
+  ht : float array;
+  hs : int array;
+  hg : int array;
+  mutable hsize : int;
+  mutable hseq : int;
+  (* Per-application iteration bookkeeping. *)
+  q0 : int array;  (* repetition count of actor 0 *)
+  fires0 : int array;
+  iterations : int array;
+  kept_count : int array;
+  last_completion : float array;
+  kept_first : float array;
+  max_gap : float array;
+  min_gap : float array;
+  app_busy : float array;  (* [a * procs + p] *)
+  mutable total_firings : int;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Completion heap *)
+
+let before s i j =
+  let ti = s.ht.(i) and tj = s.ht.(j) in
+  ti < tj || (ti = tj && s.hs.(i) < s.hs.(j))
+
+let swap s i j =
+  let t = s.ht.(i) in
+  s.ht.(i) <- s.ht.(j);
+  s.ht.(j) <- t;
+  let q = s.hs.(i) in
+  s.hs.(i) <- s.hs.(j);
+  s.hs.(j) <- q;
+  let g = s.hg.(i) in
+  s.hg.(i) <- s.hg.(j);
+  s.hg.(j) <- g
+
+(* Schedule the completion of actor [g] at [f.(r_due)]. *)
+let heap_push s g =
+  let i = ref s.hsize in
+  s.ht.(!i) <- s.f.(r_due);
+  s.hs.(!i) <- s.hseq;
+  s.hg.(!i) <- g;
+  s.hseq <- s.hseq + 1;
+  s.hsize <- s.hsize + 1;
+  while !i > 0 && before s !i ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    swap s !i parent;
+    i := parent
+  done
+
+(* Drop the earliest completion; read it from slot 0 first. *)
+let heap_drop_top s =
+  s.hsize <- s.hsize - 1;
+  let n = s.hsize in
+  if n > 0 then begin
+    s.ht.(0) <- s.ht.(n);
+    s.hs.(0) <- s.hs.(n);
+    s.hg.(0) <- s.hg.(n);
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < n && before s l !m then m := l;
+      if r < n && before s r !m then m := r;
+      if !m = !i then sifting := false
       else begin
-        let best = Queue.fold (fun acc entry ->
-            match acc with
-            | Some b when compare b entry <= 0 -> acc
-            | _ -> Some entry)
-            None queue
-        in
-        match best with
-        | None -> None
-        | Some chosen ->
-            let _ = remove_from_queue queue chosen in
-            Some chosen
+        swap s !i !m;
+        i := !m
       end
-  | Static_order orders ->
-      let order = orders.(proc) in
-      if Array.length order = 0 then None
-      else begin
-        let scheduled = order.(order_pos.(proc) mod Array.length order) in
-        if remove_from_queue queue scheduled then begin
-          order_pos.(proc) <- (order_pos.(proc) + 1) mod Array.length order;
-          Some scheduled
-        end
-        else None
-      end
+    done
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Dataflow and arbitration *)
+
+let enabled s g =
+  s.state.(g) = idle
+  &&
+  let ok = ref true and k = ref s.in_off.(g) in
+  while !ok && !k < s.in_off.(g + 1) do
+    let c = s.in_ch.(!k) in
+    if s.tokens.(c) < s.consume.(c) then ok := false;
+    incr k
+  done;
+  !ok
+
+let enqueue s g =
+  let p = s.proc_of.(g) in
+  s.state.(g) <- queued;
+  (match s.arbitration with
+  | Fcfs ->
+      let base = s.pa_off.(p) in
+      let cap = s.pa_off.(p + 1) - base in
+      s.ring.(base + ((s.head.(p) + s.waiting.(p)) mod cap)) <- g
+  | Fixed_priority | Static_order _ -> ());
+  s.waiting.(p) <- s.waiting.(p) + 1
+
+(* The queued actor processor [p] serves next, or -1: the FCFS ring's head,
+   the lowest queued id (= lowest (app, actor) pair), or the static order's
+   next entry if it is queued. *)
+let take_next s p =
+  if s.waiting.(p) = 0 then -1
+  else
+    match s.arbitration with
+    | Fcfs ->
+        let base = s.pa_off.(p) in
+        let g = s.ring.(base + s.head.(p)) in
+        s.head.(p) <- (s.head.(p) + 1) mod (s.pa_off.(p + 1) - base);
+        g
+    | Fixed_priority ->
+        let k = ref s.pa_off.(p) in
+        while s.state.(s.pa.(!k)) <> queued do
+          incr k
+        done;
+        s.pa.(!k)
+    | Static_order _ ->
+        let len = s.so_off.(p + 1) - s.so_off.(p) in
+        if len = 0 then -1
+        else
+          let g = s.so.(s.so_off.(p) + s.so_pos.(p)) in
+          if s.state.(g) <> queued then -1
+          else begin
+            s.so_pos.(p) <- (s.so_pos.(p) + 1) mod len;
+            g
+          end
+
+(* Start processor [p]'s next firing at [f.(r_now)], if it has one. *)
+let start_service s p =
+  let g = take_next s p in
+  if g >= 0 then begin
+    s.waiting.(p) <- s.waiting.(p) - 1;
+    for k = s.in_off.(g) to s.in_off.(g + 1) - 1 do
+      let c = s.in_ch.(k) in
+      s.tokens.(c) <- s.tokens.(c) - s.consume.(c)
+    done;
+    s.state.(g) <- running;
+    s.serving.(p) <- g;
+    let a = s.app_of.(g) in
+    (match s.firing_time with
+    | None -> s.f.(r_tau) <- s.exec.(g)
+    | Some firing_time ->
+        let actor = g - s.app_off.(a) in
+        let tau = firing_time ~app:a ~actor in
+        if not (tau > 0. && Float.is_finite tau) then
+          invalid_arg
+            (Printf.sprintf "Desim.Engine: firing_time %g for app %d actor %d" tau a actor);
+        s.f.(r_tau) <- tau);
+    let tau = s.f.(r_tau) in
+    s.proc_busy.(p) <- s.proc_busy.(p) +. tau;
+    let b = (a * s.procs) + p in
+    s.app_busy.(b) <- s.app_busy.(b) +. tau;
+    (match s.on_event with
+    | None -> ()
+    | Some emit -> emit (Start { time = s.f.(r_now); app = a; actor = g - s.app_off.(a); proc = p }));
+    s.f.(r_due) <- s.f.(r_now) +. tau;
+    heap_push s g
+  end
+
+(* Actor 0 of app [a] completed an iteration at [f.(r_now)]; the first
+   [warmup] iterations only set the reference point. *)
+let record_iteration s a =
+  s.iterations.(a) <- s.iterations.(a) + 1;
+  let time = s.f.(r_now) in
+  if s.iterations.(a) > s.warmup then begin
+    if s.kept_count.(a) = 0 then s.kept_first.(a) <- time
+    else begin
+      let gap = time -. s.last_completion.(a) in
+      if Float.is_nan s.max_gap.(a) || gap > s.max_gap.(a) then s.max_gap.(a) <- gap;
+      if Float.is_nan s.min_gap.(a) || gap < s.min_gap.(a) then s.min_gap.(a) <- gap
+    end;
+    s.kept_count.(a) <- s.kept_count.(a) + 1
+  end;
+  s.last_completion.(a) <- time
+
+(* Complete actor [g]'s firing at [f.(r_now)]: produce its outputs, then
+   queue itself and its consumers (in channel order) if they became
+   enabled. *)
+let finish s g =
+  let p = s.proc_of.(g) in
+  s.serving.(p) <- -1;
+  s.state.(g) <- idle;
+  for k = s.out_off.(g) to s.out_off.(g + 1) - 1 do
+    let c = s.out_ch.(k) in
+    s.tokens.(c) <- s.tokens.(c) + s.produce.(c)
+  done;
+  let a = s.app_of.(g) in
+  if g = s.app_off.(a) then begin
+    s.fires0.(a) <- s.fires0.(a) + 1;
+    if s.fires0.(a) mod s.q0.(a) = 0 then record_iteration s a
+  end;
+  s.total_firings <- s.total_firings + 1;
+  (match s.on_event with
+  | None -> ()
+  | Some emit -> emit (Finish { time = s.f.(r_now); app = a; actor = g - s.app_off.(a); proc = p }));
+  if enabled s g then enqueue s g;
+  for k = s.out_off.(g) to s.out_off.(g + 1) - 1 do
+    let d = s.ch_dst.(s.out_ch.(k)) in
+    if enabled s d then enqueue s d
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Set-up *)
+
+let validate_order ~procs apps orders =
+  if Array.length orders <> procs then
+    invalid_arg "Desim.Engine: static order must list every processor";
+  Array.iteri
+    (fun proc order ->
+      Array.iter
+        (fun (ai, actor) ->
+          if ai < 0 || ai >= Array.length apps then
+            invalid_arg (Printf.sprintf "Desim.Engine: order names app %d" ai);
+          if actor < 0 || actor >= Sdf.Graph.num_actors apps.(ai).graph then
+            invalid_arg (Printf.sprintf "Desim.Engine: order names actor %d" actor);
+          if apps.(ai).mapping.(actor) <> proc then
+            invalid_arg
+              (Printf.sprintf "Desim.Engine: order on processor %d names actor mapped to %d"
+                 proc apps.(ai).mapping.(actor)))
+        order)
+    orders
+
+let prefix_sums counts =
+  let off = Array.make (Array.length counts + 1) 0 in
+  Array.iteri (fun i c -> off.(i + 1) <- off.(i) + c) counts;
+  off
+
+(* CSR lists: [key.(i)] owns item [i]; items land in ascending order. *)
+let csr ~buckets key =
+  let count = Array.make buckets 0 in
+  Array.iter (fun b -> count.(b) <- count.(b) + 1) key;
+  let off = prefix_sums count in
+  let fill = Array.sub off 0 buckets in
+  let items = Array.make (Array.length key) 0 in
+  Array.iteri
+    (fun i b ->
+      items.(fill.(b)) <- i;
+      fill.(b) <- fill.(b) + 1)
+    key;
+  (off, items)
+
+let make ~warmup ~on_event ~firing_time ~arbitration ~procs apps =
+  let napps = Array.length apps in
+  let q0 =
+    Array.map
+      (fun (a : app) ->
+        let q = Sdf.Repetition.compute_exn a.graph in
+        (* An app without actors never fires; any positive count will do. *)
+        if Array.length q = 0 then 1 else q.(0))
+      apps
+  in
+  let app_off = prefix_sums (Array.map (fun (a : app) -> Sdf.Graph.num_actors a.graph) apps) in
+  let ch_off = prefix_sums (Array.map (fun (a : app) -> Sdf.Graph.num_channels a.graph) apps) in
+  let nactors = app_off.(napps) and nchannels = ch_off.(napps) in
+  let app_of = Array.make nactors 0 and proc_of = Array.make nactors 0 in
+  let exec = Array.make nactors 0. in
+  let ch_src = Array.make nchannels 0 and ch_dst = Array.make nchannels 0 in
+  let produce = Array.make nchannels 0 and consume = Array.make nchannels 0 in
+  let tokens = Array.make nchannels 0 in
+  Array.iteri
+    (fun a (app : app) ->
+      Array.iteri
+        (fun i (actor : Sdf.Graph.actor) ->
+          let g = app_off.(a) + i in
+          app_of.(g) <- a;
+          proc_of.(g) <- app.mapping.(i);
+          exec.(g) <- actor.exec_time)
+        app.graph.actors;
+      Array.iteri
+        (fun i (c : Sdf.Graph.channel) ->
+          let k = ch_off.(a) + i in
+          ch_src.(k) <- app_off.(a) + c.src;
+          ch_dst.(k) <- app_off.(a) + c.dst;
+          produce.(k) <- c.produce;
+          consume.(k) <- c.consume;
+          tokens.(k) <- c.tokens)
+        app.graph.channels)
+    apps;
+  let in_off, in_ch = csr ~buckets:nactors ch_dst in
+  let out_off, out_ch = csr ~buckets:nactors ch_src in
+  let pa_off, pa = csr ~buckets:procs proc_of in
+  let so_off, so =
+    match arbitration with
+    | Fcfs | Fixed_priority -> ([||], [||])
+    | Static_order orders ->
+        ( prefix_sums (Array.map Array.length orders),
+          Array.map (fun (ai, actor) -> app_off.(ai) + actor) (Array.concat (Array.to_list orders)) )
+  in
+  {
+    arbitration;
+    warmup;
+    procs;
+    on_event;
+    firing_time;
+    f = Array.make 3 0.;
+    app_off;
+    app_of;
+    proc_of;
+    exec;
+    state = Array.make nactors idle;
+    in_off;
+    in_ch;
+    out_off;
+    out_ch;
+    ch_dst;
+    produce;
+    consume;
+    tokens;
+    pa_off;
+    pa;
+    ring = Array.make nactors 0;
+    head = Array.make procs 0;
+    waiting = Array.make procs 0;
+    serving = Array.make procs (-1);
+    proc_busy = Array.make procs 0.;
+    so_off;
+    so;
+    so_pos = Array.make procs 0;
+    ht = Array.make procs 0.;
+    hs = Array.make procs 0;
+    hg = Array.make procs 0;
+    hsize = 0;
+    hseq = 0;
+    q0;
+    fires0 = Array.make napps 0;
+    iterations = Array.make napps 0;
+    kept_count = Array.make napps 0;
+    last_completion = Array.make napps nan;
+    kept_first = Array.make napps nan;
+    max_gap = Array.make napps nan;
+    min_gap = Array.make napps nan;
+    app_busy = Array.make (napps * procs) 0.;
+    total_firings = 0;
+  }
+
+let result s apps a =
+  let n = s.kept_count.(a) in
+  {
+    app_name = apps.(a).graph.Sdf.Graph.name;
+    iterations = s.iterations.(a);
+    avg_period =
+      (if n >= 2 then (s.last_completion.(a) -. s.kept_first.(a)) /. float_of_int (n - 1)
+       else nan);
+    max_period = s.max_gap.(a);
+    min_period = s.min_gap.(a);
+    busy_time = Array.sub s.app_busy (a * s.procs) s.procs;
+  }
 
 let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
     ?(arbitration = Fcfs) ~procs apps =
@@ -76,127 +444,42 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
   if procs < 1 then invalid_arg "Desim.Engine.run: procs < 1";
   Array.iteri (fun index a -> Appstate.validate ~procs ~index a) apps;
   (match arbitration with
-  | Static_order orders ->
-      if Array.length orders <> procs then
-        invalid_arg "Desim.Engine: static order must list every processor";
-      Array.iteri
-        (fun proc order ->
-          Array.iter
-            (fun (ai, actor) ->
-              if ai < 0 || ai >= Array.length apps then
-                invalid_arg (Printf.sprintf "Desim.Engine: order names app %d" ai);
-              if actor < 0 || actor >= Sdf.Graph.num_actors apps.(ai).graph then
-                invalid_arg (Printf.sprintf "Desim.Engine: order names actor %d" actor);
-              if apps.(ai).mapping.(actor) <> proc then
-                invalid_arg
-                  (Printf.sprintf
-                     "Desim.Engine: order on processor %d names actor mapped to %d" proc
-                     apps.(ai).mapping.(actor)))
-            order)
-        orders
+  | Static_order orders -> validate_order ~procs apps orders
   | Fcfs | Fixed_priority -> ());
-  let order_pos = Array.make procs 0 in
-  let states = Array.map (fun a -> Appstate.make ~procs a) apps in
-  let actor_states =
-    Array.map (fun a -> Array.make (Sdf.Graph.num_actors a.graph) Idle) apps
-  in
-  let queues = Array.init procs (fun _ -> Queue.create ()) in
-  let proc_running = Array.make procs None in
-  let proc_busy = Array.make procs 0. in
-  let heap = Heap.create () in
-  let total_firings = ref 0 in
-  let emit e = match on_event with Some f -> f e | None -> () in
-  let enabled ai actor =
-    actor_states.(ai).(actor) = Idle && Appstate.tokens_enabled states.(ai) actor
-  in
-  let enqueue ai actor =
-    actor_states.(ai).(actor) <- Queued;
-    Queue.add (ai, actor) queues.(states.(ai).Appstate.app.mapping.(actor))
-  in
-  let start_service time proc =
-    match take_next arbitration order_pos proc queues.(proc) with
-    | None -> ()
-    | Some (ai, actor) ->
-        let st = states.(ai) in
-        assert (actor_states.(ai).(actor) = Queued);
-        Appstate.consume_inputs st actor;
-        actor_states.(ai).(actor) <- Running;
-        proc_running.(proc) <- Some (ai, actor);
-        let tau =
-          match firing_time with
-          | None -> (Sdf.Graph.actor st.Appstate.app.graph actor).exec_time
-          | Some f ->
-              let tau = f ~app:ai ~actor in
-              if tau <= 0. then
-                invalid_arg
-                  (Printf.sprintf "Desim.Engine: firing_time %g for app %d actor %d"
-                     tau ai actor)
-              else tau
-        in
-        proc_busy.(proc) <- proc_busy.(proc) +. tau;
-        st.Appstate.busy.(proc) <- st.Appstate.busy.(proc) +. tau;
-        emit (Start { time; app = ai; actor; proc });
-        Heap.push heap ~time:(time +. tau) (ai, actor)
-  in
-  let finish time ai actor =
-    let st = states.(ai) in
-    let proc = st.Appstate.app.mapping.(actor) in
-    proc_running.(proc) <- None;
-    actor_states.(ai).(actor) <- Idle;
-    Appstate.finish_firing st ~warmup:warmup_iterations ~actor ~time;
-    incr total_firings;
-    emit (Finish { time; app = ai; actor; proc });
-    (* The finished actor itself and the consumers of its output channels may
-       have become enabled. *)
-    if enabled ai actor then enqueue ai actor;
-    List.iter
-      (fun dst -> if enabled ai dst then enqueue ai dst)
-      (Appstate.output_consumers st actor)
-  in
+  let s = make ~warmup:warmup_iterations ~on_event ~firing_time ~arbitration ~procs apps in
   (* Boot: queue everything initially enabled, start the processors. *)
-  Array.iteri
-    (fun ai (a : app) ->
-      for actor = 0 to Sdf.Graph.num_actors a.graph - 1 do
-        if enabled ai actor then enqueue ai actor
-      done)
-    apps;
-  for proc = 0 to procs - 1 do
-    start_service 0. proc
+  for g = 0 to Array.length s.state - 1 do
+    if enabled s g then enqueue s g
   done;
-  let now = ref 0. in
-  let running = ref true in
-  while !running do
-    match Heap.pop heap with
-    | None -> running := false
-    | Some (time, (ai, actor)) ->
-        if time > horizon then begin
-          running := false;
-          now := horizon
-        end
-        else begin
-          now := time;
-          finish time ai actor;
-          (* Drain every completion scheduled for this same instant before
-             any service decision, so arbitration sees the full state of
-             time [time]. *)
-          let same_instant = ref true in
-          while !same_instant do
-            match Heap.peek_time heap with
-            | Some t when t = time -> (
-                match Heap.pop heap with
-                | Some (_, (ai, actor)) -> finish time ai actor
-                | None -> same_instant := false)
-            | Some _ | None -> same_instant := false
-          done;
-          (* Idle processors with waiting work pick their next firing. *)
-          for proc = 0 to procs - 1 do
-            if proc_running.(proc) = None && not (Queue.is_empty queues.(proc)) then
-              start_service time proc
-          done
-        end
+  for p = 0 to procs - 1 do
+    start_service s p
   done;
-  ( Array.map Appstate.result states,
-    { final_time = !now; total_firings = !total_firings; proc_busy } )
+  let live = ref true in
+  while !live && s.hsize > 0 do
+    let time = s.ht.(0) and g = s.hg.(0) in
+    heap_drop_top s;
+    if time > horizon then begin
+      live := false;
+      s.f.(r_now) <- horizon
+    end
+    else begin
+      s.f.(r_now) <- time;
+      finish s g;
+      (* Drain every completion scheduled for this same instant before any
+         service decision, so arbitration sees the full state of [time]. *)
+      while s.hsize > 0 && s.ht.(0) = time do
+        let g = s.hg.(0) in
+        heap_drop_top s;
+        finish s g
+      done;
+      (* Idle processors with waiting work pick their next firing. *)
+      for p = 0 to procs - 1 do
+        if s.serving.(p) < 0 && s.waiting.(p) > 0 then start_service s p
+      done
+    end
+  done;
+  ( Array.init (Array.length apps) (result s apps),
+    { final_time = s.f.(r_now); total_firings = s.total_firings; proc_busy = s.proc_busy } )
 
 let utilisation stats =
   if stats.final_time <= 0. then Array.map (fun _ -> 0.) stats.proc_busy

@@ -12,7 +12,34 @@
 
     Because SDF enabledness is monotone (only an actor itself consumes from
     its input channels), contention delays firings but can never deadlock a
-    set of individually live graphs. *)
+    set of individually live graphs.
+
+    {b Layout.}  One engine serves every {!arbitration}.  Each run numbers
+    the actors of all applications globally ([(app, actor)] pairs in
+    ascending order) and the channels likewise; input and output channel
+    lists are CSR slices of flat int arrays, token counts are an int array,
+    and times and busy totals live in float arrays.  Each processor has a
+    ring-buffer ready queue sized by the actors mapped to it.  Completions
+    wait in a binary heap over parallel float/int arrays, keyed by
+    [(time, insertion sequence)]; it needs one slot per processor.
+
+    {b Event order.}  Runs are deterministic, and four tie-breaks fix the
+    order of everything that happens at one instant:
+    - completions at equal times pop in the order their firings started
+      (the heap's insertion sequence);
+    - every completion of an instant is processed before any processor
+      picks its next firing;
+    - a completion queues the finished actor first, then the consumers of
+      its output channels in channel order; under {!Fcfs} the ring serves
+      in that arrival order;
+    - idle processors pick in ascending processor order.
+
+    {b Allocation.}  Set-up allocates O(actors + channels + processors) per
+    run.  With [on_event] and [firing_time] absent, the firing loop
+    allocates nothing: [Start]/[Finish] records are built only for an
+    [on_event] callback, and a [firing_time] result is boxed by its closure.
+    [test/test_engine.ml] enforces this by comparing the minor words of runs
+    at two horizons. *)
 
 type app = Appstate.app = {
   graph : Sdf.Graph.t;
@@ -78,9 +105,11 @@ val run :
     (arguments are the application index and actor id); the default uses the
     graph's static execution time.  This is the hook for stochastic
     execution times, time-varying behaviour or fault injection — the value
-    must be positive.
+    must be positive and finite.  It is called once per firing, in start
+    order.
     @raise Invalid_argument on an invalid mapping, an empty application set,
-    or a non-positive [firing_time] result. *)
+    or a [firing_time] result that is not positive and finite (NaN,
+    infinite, zero or negative). *)
 
 val utilisation : stats -> float array
 (** Per-processor busy fraction of the simulated time. *)

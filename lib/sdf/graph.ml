@@ -19,7 +19,7 @@ let check_actor_id g id =
 
 let create ~name ~actors ~channels =
   let mk_actor id (aname, exec_time) =
-    if exec_time <= 0. then
+    if not (exec_time > 0. && Float.is_finite exec_time) then
       invalid_arg
         (Printf.sprintf "Sdf.Graph.create: actor %S has non-positive execution time %g"
            aname exec_time);
@@ -50,7 +50,7 @@ let with_exec_times g times =
     invalid_arg "Sdf.Graph.with_exec_times: length mismatch";
   let set a =
     let t = times.(a.id) in
-    if t <= 0. then
+    if not (t > 0. && Float.is_finite t) then
       invalid_arg
         (Printf.sprintf "Sdf.Graph.with_exec_times: non-positive time %g for %S" t a.name);
     { a with exec_time = t }

@@ -35,8 +35,9 @@ val create :
 (** [create ~name ~actors ~channels] builds a graph.  [actors.(i)] is
     [(name, exec_time)] for actor id [i]; each channel is
     [(src, dst, produce, consume, initial_tokens)].
-    @raise Invalid_argument on out-of-range actor ids, non-positive execution
-    times or rates, or negative initial token counts. *)
+    @raise Invalid_argument on out-of-range actor ids, execution times that
+    are not positive and finite (NaN, infinite, zero or negative),
+    non-positive rates, or negative initial token counts. *)
 
 val num_actors : t -> int
 val num_channels : t -> int
@@ -50,8 +51,8 @@ val exec_times : t -> float array
 val with_exec_times : t -> float array -> t
 (** [with_exec_times g times] is [g] with every actor's execution time
     replaced — used to turn response times into a new graph for throughput
-    analysis.  @raise Invalid_argument on a length mismatch or a
-    non-positive time. *)
+    analysis.  @raise Invalid_argument on a length mismatch or a time that
+    is not positive and finite. *)
 
 val successors : t -> int -> (int * channel) list
 (** [(dst, channel)] for every channel leaving the actor. *)

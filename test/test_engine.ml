@@ -96,6 +96,44 @@ let test_events_emitted () =
   (* All but possibly the in-flight firing finish. *)
   Alcotest.(check bool) "finishes close to starts" true (!starts - !finishes <= 2)
 
+let test_bad_firing_time_rejected () =
+  (* NaN would break the heap's (time, seq) order and +infinity would end
+     the run early without a word; both are refused like negative times. *)
+  let apps = [| dedicated (Fixtures.graph_a ()) |] in
+  List.iter
+    (fun (what, t) ->
+      match Engine.run ~horizon:1000. ~firing_time:(fun ~app:_ ~actor:_ -> t) ~procs:3 apps with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "firing_time %s accepted" what)
+    [ ("NaN", Float.nan); ("+infinity", Float.infinity); ("negative", -1.) ]
+
+let test_firing_loop_allocates_nothing () =
+  (* The allocation budget: with [on_event] and [firing_time] absent, a run
+     allocates only its O(actors + channels) set-up, so doubling the horizon
+     must leave the minor-word count unchanged while the firings grow.  Both
+     windows include the same constant cost (the boxed float Gc.minor_words
+     itself returns). *)
+  let graphs =
+    Sdfgen.Generator.generate_many ~seed:11 3
+      ~params:{ Sdfgen.Generator.default_params with actors_min = 4; actors_max = 6 }
+  in
+  let apps =
+    Array.map (fun g -> { Engine.graph = g; mapping = Contention.Mapping.modulo ~procs:2 g }) graphs
+  in
+  let run horizon =
+    let w0 = Gc.minor_words () in
+    let _, stats = Engine.run ~horizon ~procs:2 apps in
+    (Gc.minor_words () -. w0, stats.Engine.total_firings)
+  in
+  let horizon = 500_000. in
+  ignore (run horizon);
+  let single, f1 = run horizon in
+  let double, f2 = run (2. *. horizon) in
+  if f2 - f1 <= 10_000 then Alcotest.failf "too few extra firings: %d -> %d" f1 f2;
+  if double -. single >= 8. then
+    Alcotest.failf "firing loop allocates: %g minor words at %d firings, %g at %d" single f1
+      double f2
+
 (* Contention can only hurt: the simulated shared period of an app is at
    least (up to measurement noise) its isolation period. *)
 let prop_contention_monotone =
@@ -129,5 +167,7 @@ let suite =
     Alcotest.test_case "short horizon -> nan" `Quick test_too_short_horizon_gives_nan;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "events emitted" `Quick test_events_emitted;
+    Alcotest.test_case "bad firing_time rejected" `Quick test_bad_firing_time_rejected;
+    Alcotest.test_case "firing loop allocation budget" `Quick test_firing_loop_allocates_nothing;
     prop_contention_monotone;
   ]

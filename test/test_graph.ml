@@ -41,6 +41,21 @@ let test_exec_times () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative time accepted"
 
+(* NaN fails every ordered comparison, so a [t <= 0.] guard would let it
+   (and +infinity) through; each site must reject all three. *)
+let bad_times = [ ("NaN", Float.nan); ("+infinity", Float.infinity); ("negative", -1.) ]
+
+let test_non_finite_times_rejected () =
+  List.iter
+    (fun (what, t) ->
+      (match Graph.create ~name:"g" ~actors:[| ("x", t) |] ~channels:[||] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "create accepted a %s execution time" what);
+      match Graph.with_exec_times (Fixtures.graph_a ()) [| 1.; t; 3. |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "with_exec_times accepted a %s time" what)
+    bad_times
+
 let test_adjacency () =
   let g = Fixtures.graph_a () in
   let succ = Graph.successors g 0 in
@@ -89,6 +104,7 @@ let suite =
     Alcotest.test_case "create and accessors" `Quick test_create_accessors;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "exec times" `Quick test_exec_times;
+    Alcotest.test_case "non-finite times rejected" `Quick test_non_finite_times_rejected;
     Alcotest.test_case "adjacency" `Quick test_adjacency;
     Alcotest.test_case "connectivity" `Quick test_connectivity;
     Alcotest.test_case "find actor" `Quick test_find_actor;
