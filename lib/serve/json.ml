@@ -1,3 +1,5 @@
+type encoded = string
+
 type t =
   | Null
   | Bool of bool
@@ -5,36 +7,58 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Encoded of encoded
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of bytes that need no escape are copied with one blit each. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let run = ref 0 in
+  let flush i = if i > !run then Buffer.add_substring buf s !run (i - !run) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\') as c ->
+        flush i;
+        Buffer.add_char buf '\\';
+        Buffer.add_char buf c;
+        run := i + 1
+    | '\000' .. '\031' as c ->
+        flush i;
+        (match c with
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+            Buffer.add_char buf hex_digits.[Char.code c land 15]);
+        run := i + 1
+    | _ -> ()
+  done;
+  flush (String.length s);
   Buffer.add_char buf '"'
+
+(* The C primitive behind [Printf.sprintf "%.17g"], without the format
+   interpretation around it. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let add_num buf x =
   if not (Float.is_finite x) then
     invalid_arg "Serve.Json.to_string: non-finite number";
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    (* Exact in an int; "-0" keeps the sign of negative zero, as "%.0f"
+       does. *)
+    if x = 0. && Float.sign_bit x then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float x))
   else
     (* 17 significant digits reparse to the identical IEEE double. *)
-    Buffer.add_string buf (Printf.sprintf "%.17g" x)
+    Buffer.add_string buf (format_float "%.17g" x)
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -43,6 +67,7 @@ let to_string v =
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num x -> add_num buf x
     | Str s -> add_escaped buf s
+    | Encoded s -> Buffer.add_string buf s
     | Arr xs ->
         Buffer.add_char buf '[';
         List.iteri
@@ -64,6 +89,8 @@ let to_string v =
   in
   go v;
   Buffer.contents buf
+
+let encode = to_string
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -94,6 +121,7 @@ let of_string ?(max_depth = 512) s =
   let pos = ref 0 in
   let fail msg = raise (Fail (msg, !pos)) in
   let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && s.[!pos] = c in
   let skip_ws () =
     while
       !pos < n
@@ -124,7 +152,25 @@ let of_string ?(max_depth = 512) s =
   in
   let string_lit () =
     expect '"';
+    (* Fast path: a string with no escape is one substring.  At anything
+       else the general loop below takes over from the same position, so
+       its errors and offsets are unchanged. *)
+    let start = !pos in
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with
+         | '"' | '\\' | '\000' .. '\031' -> false
+         | _ -> true
+    do
+      incr pos
+    done;
+    if !pos < n && s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else
     let buf = Buffer.create 16 in
+    Buffer.add_substring buf s start (!pos - start);
     let rec go () =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
@@ -170,7 +216,8 @@ let of_string ?(max_depth = 512) s =
   in
   let number () =
     let start = !pos in
-    if peek () = Some '-' then incr pos;
+    let negative = at '-' in
+    if negative then incr pos;
     let digits () =
       let d0 = !pos in
       while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
@@ -178,14 +225,35 @@ let of_string ?(max_depth = 512) s =
       done;
       if !pos = d0 then fail "malformed number"
     in
+    (* RFC 8259 §6: the integer part is "0" or starts with 1-9. *)
+    if !pos + 1 < n && s.[!pos] = '0'
+       && match s.[!pos + 1] with '0' .. '9' -> true | _ -> false
+    then begin
+      incr pos;
+      fail "leading zero in number"
+    end;
+    let int_start = !pos in
     digits ();
-    if peek () = Some '.' then begin incr pos; digits () end;
+    let int_stop = !pos in
+    if at '.' then begin incr pos; digits () end;
     (match peek () with
     | Some ('e' | 'E') ->
         incr pos;
         (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
         digits ()
     | _ -> ());
+    if !pos = int_stop && !pos - start <= 15 then begin
+      (* Fast path: an integer literal of at most 15 characters is exact in
+         an int and in a double, so float_of_string would give the same
+         bits.  Negating last keeps the sign of "-0". *)
+      let v = ref 0 in
+      for i = int_start to int_stop - 1 do
+        v := (!v * 10) + (Char.code (String.unsafe_get s i) - Char.code '0')
+      done;
+      let x = float_of_int !v in
+      Num (if negative then -.x else x)
+    end
+    else
     match float_of_string_opt (String.sub s start (!pos - start)) with
     | Some x when Float.is_finite x -> Num x
     | Some _ -> fail "number out of range"  (* e.g. 1e999 overflows *)
@@ -213,7 +281,7 @@ let of_string ?(max_depth = 512) s =
     | Some '{' ->
         incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin incr pos; Obj [] end
+        if at '}' then begin incr pos; Obj [] end
         else begin
           let rec members acc =
             skip_ws ();
@@ -232,7 +300,7 @@ let of_string ?(max_depth = 512) s =
     | Some '[' ->
         incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin incr pos; Arr [] end
+        if at ']' then begin incr pos; Arr [] end
         else begin
           let rec elements acc =
             let v = value (depth + 1) in

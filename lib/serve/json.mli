@@ -11,6 +11,10 @@
     server.  Nesting depth is bounded to keep adversarial inputs like
     ["[[[[…"] from overflowing the stack. *)
 
+type encoded
+(** JSON text made by {!encode}, and only by it: it always holds what this
+    module's printer produced for some value. *)
+
 type t =
   | Null
   | Bool of bool
@@ -18,13 +22,25 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Encoded of encoded
+      (** A pre-encoded value, printed verbatim.  It lets a value that is
+          sent many times be formatted once: the server's estimate cache
+          keeps each entry's rows as [Encoded] text made when the entry is
+          filled, so a cache hit formats no float.  {!of_string} never
+          yields it, and the accessors below return [None] on it. *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering.  Integral numbers of magnitude below
     1e15 print without a fractional part; all other finite numbers print
     with 17 significant digits, which reparses to the identical double.
+    An [Encoded] node prints its text unchanged, so
+    [to_string (Encoded (encode v)) = to_string v].
     @raise Invalid_argument on a NaN or infinite number — JSON cannot
     represent them. *)
+
+val encode : t -> encoded
+(** [to_string], kept for splicing into later values as [Encoded].
+    @raise Invalid_argument as {!to_string}. *)
 
 val of_string : ?max_depth:int -> string -> (t, string) result
 (** Strict parse of exactly one JSON value (surrounding whitespace allowed;
@@ -32,6 +48,8 @@ val of_string : ?max_depth:int -> string -> (t, string) result
     backslash-backslash, [\/ \b \f \n \r \t \uXXXX] — are decoded ([\u]
     surrogate pairs become UTF-8).  Numbers that overflow the IEEE double
     range (["1e999"]) are an error, so every parsed value re-serializes.
+    A leading zero before another digit (["01"], ["-01"], ["00.5"]) is an
+    error, as RFC 8259 §6 requires.
     [max_depth] (default 512) bounds array/object nesting.  Error messages
     carry the byte offset. *)
 

@@ -419,13 +419,24 @@ let upload_reply_of_json json =
   let* procs = field "procs" Json.get_int json in
   Ok { digest; apps; procs }
 
-let estimate_reply_to_json r =
+let estimate_reply_json ~cached ~estimator results =
   Json.Obj
     [
-      ("cached", Json.Bool r.cached);
-      ("estimator", Json.Str r.estimator);
-      ("results", Json.Arr (List.map estimate_row_to_json r.rows));
+      ("cached", Json.Bool cached);
+      ("estimator", Json.Str estimator);
+      ("results", results);
     ]
+
+let estimate_results rows = Json.Arr (List.map estimate_row_to_json rows)
+
+let estimate_reply_to_json r =
+  estimate_reply_json ~cached:r.cached ~estimator:r.estimator
+    (estimate_results r.rows)
+
+let encode_results rows = Json.encode (estimate_results rows)
+
+let encoded_estimate_reply_to_json ~cached ~estimator results =
+  estimate_reply_json ~cached ~estimator (Json.Encoded results)
 
 let estimate_reply_of_json json =
   let* cached = field "cached" Json.get_bool json in
@@ -455,6 +466,10 @@ let rec explain_json_of_json : Json.t -> Contention.Explain.json = function
   | Json.Obj fields ->
       Contention.Explain.Obj
         (List.map (fun (k, v) -> (k, explain_json_of_json v)) fields)
+  | Json.Encoded _ ->
+      (* Only a server builds pre-encoded nodes, and only for estimate
+         replies; a parsed document never holds one. *)
+      invalid_arg "Serve.Protocol.explain_json_of_json: pre-encoded value"
 
 let explain_reply_to_json (e : Contention.Explain.t) =
   json_of_explain (Contention.Explain.to_json e)

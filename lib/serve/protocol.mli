@@ -186,6 +186,16 @@ val upload_reply_of_json : Json.t -> (upload_reply, string) result
 val estimate_reply_to_json : estimate_reply -> Json.t
 val estimate_reply_of_json : Json.t -> (estimate_reply, string) result
 
+val encode_results : estimate_row list -> Json.encoded
+(** The ["results"] member of an estimate reply, encoded once so that a
+    server can send the same rows many times without formatting them
+    again. *)
+
+val encoded_estimate_reply_to_json :
+  cached:bool -> estimator:string -> Json.encoded -> Json.t
+(** {!estimate_reply_to_json} with the rows given as {!encode_results} text;
+    it prints the same bytes. *)
+
 val json_of_explain : Contention.Explain.json -> Json.t
 (** Structural copy between the core provenance AST and the wire codec. *)
 

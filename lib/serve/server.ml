@@ -105,10 +105,22 @@ end
 
 type cache_key = string * Contention.Usecase.t * string
 
+(* A cache entry keeps its rows, for hot replication and the audit, and
+   their reply text, encoded once when the entry is filled: a hit then
+   formats no float. *)
+type cache_entry = { rows : Protocol.estimate_row list; results : Json.encoded }
+
+let cache_entry rows = { rows; results = Protocol.encode_results rows }
+
+type cmd_series = {
+  requests : Obs.Metric.Counter.t;
+  latency : Obs.Metric.Histogram.t;
+}
+
 type t = {
   config : config;
   store : Store.t;
-  cache : (cache_key, Protocol.estimate_row list) Lru.t;
+  cache : (cache_key, cache_entry) Lru.t;
   metrics : Metrics.t;
   workers : int;  (* worker-domain count — the pool's capacity *)
   registry : Obs.Metric.registry;
@@ -145,6 +157,7 @@ type t = {
   stopping : bool Atomic.t;  (* stop () has begun *)
   stopped : bool Atomic.t;
   mutable domains : unit Domain.t list;
+  cmd_series : cmd_series option Atomic.t array;  (* by command index *)
 }
 
 let tcp_port t = t.bound_tcp_port
@@ -276,11 +289,11 @@ let handle_estimate t ~digest ~usecase ~estimator =
       | Ok mask ->
           let name = Protocol.estimator_to_string estimator in
           let key = (digest, mask, name) in
-          let cached, rows =
+          let cached, { rows; results } =
             match Lru.find t.cache key with
-            | Some rows ->
+            | Some entry ->
                 Obs.Metric.Counter.inc t.m_cache_hits;
-                (true, rows)
+                (true, entry)
             | None ->
                 Obs.Metric.Counter.inc t.m_cache_misses;
                 let caches = prepared_for t ~digest w in
@@ -289,9 +302,9 @@ let handle_estimate t ~digest ~usecase ~estimator =
                     (fun i -> (w.apps.(i), caches.(i)))
                     (Contention.Usecase.to_list mask)
                 in
-                let rows = estimate_rows estimator pairs in
-                Lru.put t.cache key rows;
-                (false, rows)
+                let entry = cache_entry (estimate_rows estimator pairs) in
+                Lru.put t.cache key entry;
+                (false, entry)
           in
           note_hot t ~digest ~mask ~name rows;
           (* Shadow audit: hand a head-sampled fraction of served estimates
@@ -312,8 +325,8 @@ let handle_estimate t ~digest ~usecase ~estimator =
                    })
           | _ -> ());
           Protocol.ok
-            (Protocol.estimate_reply_to_json
-               { Protocol.cached; estimator = name; rows }))
+            (Protocol.encoded_estimate_reply_to_json ~cached ~estimator:name
+               results))
 
 let handle_explain t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
@@ -347,7 +360,7 @@ let handle_cache_put t ~digest ~mask ~estimator ~rows =
                  napps)
           else begin
             let name = Protocol.estimator_to_string est in
-            Lru.put t.cache (digest, mask, name) rows;
+            Lru.put t.cache (digest, mask, name) (cache_entry rows);
             Protocol.ok
               (Json.Obj
                  [ ("installed", Json.Bool true); ("estimator", Json.Str name) ])
@@ -563,17 +576,51 @@ let dispatch t (request : Protocol.request) =
       Atomic.set t.stop_requested true;
       Protocol.ok (Json.Obj [ ("stopping", Json.Bool true) ])
 
-let cmd_name = function
-  | Protocol.Ping -> "ping"
-  | Protocol.Upload _ -> "upload"
-  | Protocol.Estimate _ -> "estimate"
-  | Protocol.Explain _ -> "explain"
-  | Protocol.Admit _ -> "admit"
-  | Protocol.Release _ -> "release"
-  | Protocol.Cache_put _ -> "cache-put"
-  | Protocol.Stats -> "stats"
-  | Protocol.Metrics -> "metrics"
-  | Protocol.Shutdown -> "shutdown"
+(* The names requests are counted under, by command index; "invalid" is a
+   frame that did not decode to a request. *)
+let commands =
+  [| "invalid"; "ping"; "upload"; "estimate"; "explain"; "admit"; "release";
+     "cache-put"; "stats"; "metrics"; "shutdown" |]
+
+let span_names = Array.map (fun cmd -> "serve." ^ cmd) commands
+let invalid_cmd = 0
+
+let cmd_index = function
+  | Protocol.Ping -> 1
+  | Protocol.Upload _ -> 2
+  | Protocol.Estimate _ -> 3
+  | Protocol.Explain _ -> 4
+  | Protocol.Admit _ -> 5
+  | Protocol.Release _ -> 6
+  | Protocol.Cache_put _ -> 7
+  | Protocol.Stats -> 8
+  | Protocol.Metrics -> 9
+  | Protocol.Shutdown -> 10
+
+(* A command's request series, registered on its first request — so the
+   exposition lists no zero-valued series for commands never seen — and
+   then reused, since the get-or-create [v] validates and sorts the labels
+   under the registry mutex on every call.  Two workers racing on a first
+   request get the same series back from the registry. *)
+let cmd_series t i =
+  match Atomic.get t.cmd_series.(i) with
+  | Some series -> series
+  | None ->
+      let labels = [ ("cmd", commands.(i)) ] in
+      let series =
+        {
+          requests =
+            Obs.Metric.Counter.v ~registry:t.registry
+              ~help:"Requests served, by command." ~labels
+              "contention_serve_requests_total";
+          latency =
+            Obs.Metric.Histogram.v ~registry:t.registry
+              ~help:"Request latency in seconds, by command." ~labels
+              "contention_serve_request_seconds";
+        }
+      in
+      Atomic.set t.cmd_series.(i) (Some series);
+      series
 
 (* ------------------------------------------------------------------ *)
 (* Connection handling                                                 *)
@@ -634,19 +681,19 @@ let journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
 let handle_line t line =
   let queue_depth = Chan.length t.conns in
   let t0 = Obs.Clock.now_ns () in
-  let cmd, ctx, digest, reply =
+  let ci, ctx, digest, reply =
     match Json.of_string line with
     | Error msg ->
-        ("invalid", None, None, Protocol.error (Printf.sprintf "bad frame: %s" msg))
+        (invalid_cmd, None, None, Protocol.error (Printf.sprintf "bad frame: %s" msg))
     | Ok json -> (
         match Protocol.request_of_json json with
         | Error msg ->
-            ( "invalid",
+            ( invalid_cmd,
               None,
               None,
               Protocol.error (Printf.sprintf "bad request: %s" msg) )
         | Ok request -> (
-            let cmd = cmd_name request in
+            let ci = cmd_index request in
             (* The trace envelope re-establishes the caller's context here,
                so the serve span (and anything under it) links back to the
                client's span across the process boundary.  Malformed trace
@@ -658,8 +705,8 @@ let handle_line t line =
               | _ -> Option.bind (Json.member "workload" json) Json.get_str
             in
             let run () =
-              Obs.Span.with_ ~name:("serve." ^ cmd)
-                ~args:(fun () -> [ ("cmd", cmd) ])
+              Obs.Span.with_ ~name:span_names.(ci)
+                ~args:(fun () -> [ ("cmd", commands.(ci)) ])
                 (fun () -> dispatch t request)
             in
             let body () =
@@ -668,11 +715,11 @@ let handle_line t line =
               | Some c -> Obs.Span.with_context c run
             in
             match body () with
-            | reply -> (cmd, ctx, digest, reply)
+            | reply -> (ci, ctx, digest, reply)
             | exception e ->
                 (* A dispatch bug must never take the daemon down with
                    the connection. *)
-                ( cmd,
+                ( ci,
                   ctx,
                   digest,
                   Protocol.error
@@ -681,17 +728,12 @@ let handle_line t line =
   in
   let reply_line = Json.to_string reply in
   let latency_s = Obs.Clock.elapsed_s ~since:t0 in
+  let cmd = commands.(ci) in
   Metrics.record t.metrics ~cmd ~latency_s;
   Slo.record t.slo ~latency_s;
-  Obs.Metric.Counter.inc
-    (Obs.Metric.Counter.v ~registry:t.registry
-       ~help:"Requests served, by command." ~labels:[ ("cmd", cmd) ]
-       "contention_serve_requests_total");
-  Obs.Metric.Histogram.observe
-    (Obs.Metric.Histogram.v ~registry:t.registry
-       ~help:"Request latency in seconds, by command."
-       ~labels:[ ("cmd", cmd) ] "contention_serve_request_seconds")
-    latency_s;
+  let series = cmd_series t ci in
+  Obs.Metric.Counter.inc series.requests;
+  Obs.Metric.Histogram.observe series.latency latency_s;
   (match t.journal with
   | Some j when Journal.sampled j ~ctx ->
       Journal.record j
@@ -944,6 +986,7 @@ let start ?on_hot ?(config = default_config) () =
       stopping = Atomic.make false;
       stopped = Atomic.make false;
       domains = [];
+      cmd_series = Array.map (fun _ -> Atomic.make None) commands;
     }
   in
   let workers = List.init jobs (fun _ -> Domain.spawn (worker t)) in

@@ -71,8 +71,10 @@ let rec read_frame r =
         else read_frame r
 
 let write_line fd s =
-  let payload = Bytes.of_string (s ^ "\n") in
-  let len = Bytes.length payload in
+  let len = String.length s + 1 in
+  let payload = Bytes.create len in
+  Bytes.blit_string s 0 payload 0 (len - 1);
+  Bytes.set payload (len - 1) '\n';
   let rec go off =
     if off < len then
       match Unix.write fd payload off (len - off) with

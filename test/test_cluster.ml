@@ -547,13 +547,14 @@ let test_loadgen_saturation () =
       in
       (* Demand must overlap for the pool to open extra connections at all:
          with one fast worker and sparse arrivals a single pooled connection
-         absorbs everything and nothing ever queues.  Eight threads at
-         2000 req/s guarantee concurrent checkouts, so dials pile into the
-         bounded accept queue and overflow into sheds. *)
+         absorbs everything and nothing ever queues.  Eight threads with
+         arrivals 10 us apart, shorter than any loopback round trip,
+         guarantee concurrent checkouts however fast the server answers, so
+         dials pile into the bounded accept queue and overflow into sheds. *)
       let config =
         {
-          Loadgen.rate = 2000.;
-          duration_s = 0.5;
+          Loadgen.rate = 100_000.;
+          duration_s = 0.01;
           concurrency = 8;
           arrival = Loadgen.Uniform;
           skew = 0.;

@@ -135,6 +135,15 @@ let test_strictness () =
   check_error "unterminated array" "[1, 2";
   check_error "unterminated object" {|{"a": 1|};
   check_error "lone closing bracket" "]";
+  (* RFC 8259 §6: no leading zeros. *)
+  check_error "leading zero" "01";
+  check_error "negative leading zero" "-01";
+  check_error "double zero before a fraction" "00.5";
+  check_parse "zero" (Json.Num 0.) "0";
+  check_parse "negative zero" (Json.Num (-0.)) "-0";
+  check_parse "zero-led fraction" (Json.Num 0.5) "0.5";
+  check_parse "negative zero fraction" (Json.Num (-0.)) "-0.0";
+  check_parse "zero with exponent" (Json.Num 0.) "0e1";
   (match Json.of_string "nul" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated keyword parsed");
@@ -197,9 +206,175 @@ let test_accessors () =
   (match Json.get_int (Json.Num 3.5) with
   | None -> ()
   | Some _ -> Alcotest.fail "get_int 3.5");
-  match Json.get_str (Json.Num 3.) with
+  (match Json.get_str (Json.Num 3.) with
   | None -> ()
-  | Some _ -> Alcotest.fail "get_str on Num"
+  | Some _ -> Alcotest.fail "get_str on Num");
+  (* A pre-encoded node is opaque to every accessor. *)
+  let enc = Json.Encoded (Json.encode obj) in
+  if
+    Json.member "a" enc <> None
+    || Json.get_obj enc <> None
+    || Json.get_arr enc <> None
+    || Json.get_str enc <> None
+    || Json.get_num enc <> None
+  then Alcotest.fail "accessor looked inside an Encoded node"
+
+(* --- byte-identity against the Printf-based printer ------------------- *)
+
+(* The printer as it was written with Printf: the oracle the faster printer
+   must match byte for byte. *)
+let oracle_to_string v =
+  let buf = Buffer.create 256 in
+  let add_escaped s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let add_num x =
+    if Float.is_integer x && Float.abs x < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    else Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  in
+  let rec go = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Num x -> add_num x
+    | Json.Str s -> add_escaped s
+    | Json.Arr xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            go x)
+          xs;
+        Buffer.add_char buf ']'
+    | Json.Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_escaped k;
+            Buffer.add_char buf ':';
+            go x)
+          kvs;
+        Buffer.add_char buf '}'
+    | Json.Encoded _ -> Alcotest.fail "the oracle prints no Encoded node"
+  in
+  go v;
+  Buffer.contents buf
+
+(* Every finite double is reachable from a random bit pattern; the edges of
+   the integral fast path and of the subnormal and finite range are added
+   by hand. *)
+let bits_float =
+  let open Gen in
+  oneof
+    [
+      map
+        (fun b ->
+          let x = Int64.float_of_bits b in
+          if Float.is_finite x then x else Float.of_int (Int64.to_int b))
+        int64;
+      oneofl
+        [
+          -0.; 0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 4.94e-324;
+          -4.94e-324; Float.max_float; -.Float.max_float;
+        ];
+      map float_of_int (int_range (-1_000_000) 1_000_000);
+    ]
+
+let matches_oracle j =
+  let got = Json.to_string j and want = oracle_to_string j in
+  String.equal got want
+  || Test.fail_reportf "printed %S, the oracle %S" got want
+
+let prop_floats_match_oracle =
+  Fixtures.qcheck_case ~count:2000 "numbers print as with Printf"
+    bits_float (fun x -> matches_oracle (Json.Num x))
+
+let prop_strings_match_oracle =
+  Fixtures.qcheck_case ~count:1000 "strings of any bytes print as with Printf"
+    Gen.(string_size ~gen:char (int_bound 40))
+    (fun s -> matches_oracle (Json.Str s))
+
+let prop_values_match_oracle =
+  let gen =
+    let open Gen in
+    let scalar =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun x -> Json.Num x) bits_float;
+          map (fun s -> Json.Str s) byte_string;
+        ]
+    in
+    sized
+    @@ fix (fun self n ->
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun xs -> Json.Arr xs) (list_size (int_bound 4) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun kvs -> Json.Obj kvs)
+                     (list_size (int_bound 4) (pair byte_string (self (n / 2)))) );
+               ])
+  in
+  Fixtures.qcheck_case ~count:500 "nested values print as with Printf" gen
+    (fun j ->
+      matches_oracle j
+      && String.equal (Json.to_string (Json.Encoded (Json.encode j))) (Json.to_string j))
+
+let test_all_bytes_match_oracle () =
+  let s = String.init 256 Char.chr in
+  Alcotest.(check string) "all 256 byte values" (oracle_to_string (Json.Str s))
+    (Json.to_string (Json.Str s))
+
+(* The parser's integer fast path against float_of_string, bit for bit. *)
+let same_bits_as_float_of_string lit =
+  match Json.of_string lit with
+  | Ok (Json.Num x) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float (float_of_string lit))
+      || Test.fail_reportf "%s parsed to %h, float_of_string gives %h" lit x
+           (float_of_string lit)
+  | Ok v -> Test.fail_reportf "%s parsed to %s" lit (Json.to_string v)
+  | Error e -> Test.fail_reportf "%s: %s" lit e
+
+let prop_integer_literals =
+  let lit =
+    let open Gen in
+    let* neg = bool in
+    let* len = int_range 1 (if neg then 14 else 15) in
+    let* first = char_range '1' '9' in
+    let+ rest = string_size ~gen:(char_range '0' '9') (return (len - 1)) in
+    (if neg then "-" else "") ^ String.make 1 first ^ rest
+  in
+  Fixtures.qcheck_case ~count:1000 "integer literals parse as float_of_string"
+    lit same_bits_as_float_of_string
+
+let test_integer_edges () =
+  List.iter
+    (fun lit -> ignore (same_bits_as_float_of_string lit : bool))
+    [
+      "0"; "-0"; "7"; "-7"; "999999999999999"; "-99999999999999";
+      "100000000000000"; "1000000000000000"; "-999999999999999";
+    ]
 
 let suite =
   [
@@ -211,4 +386,11 @@ let suite =
     prop_roundtrip;
     prop_total_on_garbage;
     prop_total_on_corruption;
+    Alcotest.test_case "all bytes print as with Printf" `Quick
+      test_all_bytes_match_oracle;
+    Alcotest.test_case "integer literal edges" `Quick test_integer_edges;
+    prop_floats_match_oracle;
+    prop_strings_match_oracle;
+    prop_values_match_oracle;
+    prop_integer_literals;
   ]

@@ -463,6 +463,119 @@ let test_graceful_stop_with_idle_client () =
       Serve.Server.stop server;
       Serve.Client.close c)
 
+(* --- reply bytes and the cache-hit path's allocation ------------------ *)
+
+let handle server request =
+  Serve.Server.handle_line server
+    (Json.to_string (Protocol.request_to_json request))
+
+let upload_in_process server w =
+  let reply =
+    handle server (Protocol.Upload { payload = Exp.Workload.to_string w })
+  in
+  match Result.bind (Json.of_string reply) Protocol.unwrap_reply with
+  | Ok payload -> (unwrap (Protocol.upload_reply_of_json payload)).digest
+  | Error e -> Alcotest.failf "upload: %s" e
+
+let direct_rows w mask estimator =
+  List.map
+    (fun (r : Contention.Analysis.estimate) ->
+      {
+        Protocol.app = r.for_app.graph.Sdf.Graph.name;
+        period = r.period;
+        isolation_period = r.for_app.isolation_period;
+        throughput = Contention.Analysis.throughput r;
+      })
+    (Contention.Analysis.estimate estimator (Exp.Workload.analysis_apps w mask))
+
+(* A miss, a hit and a replicated (cache-put) entry each reply with exactly
+   the bytes the plain codec prints for the same rows, under every paper
+   estimator: the pre-encoded rows a cache entry keeps change no byte. *)
+let test_reply_lines () =
+  let w = small_workload () in
+  let names = Exp.Workload.names w in
+  with_server (fun server _port ->
+      let digest = upload_in_process server w in
+      List.iter
+        (fun estimator ->
+          let name = Protocol.estimator_to_string estimator in
+          let expected ~cached rows =
+            Json.to_string
+              (Protocol.ok
+                 (Protocol.estimate_reply_to_json
+                    { Protocol.cached; estimator = name; rows }))
+          in
+          let estimate usecase =
+            handle server (Protocol.Estimate { digest; usecase; estimator })
+          in
+          let full = Contention.Usecase.full ~napps:(Array.length names) in
+          let rows = direct_rows w full estimator in
+          Alcotest.(check string)
+            (name ^ ": miss") (expected ~cached:false rows) (estimate None);
+          Alcotest.(check string)
+            (name ^ ": hit") (expected ~cached:true rows) (estimate None);
+          (* A use-case this server never computed, installed by a peer. *)
+          let mask = Contention.Usecase.of_list [ 0; 2 ] in
+          let rows = direct_rows w mask estimator in
+          (match
+             Result.bind
+               (Json.of_string
+                  (handle server
+                     (Protocol.Cache_put { digest; mask; estimator = name; rows })))
+               Protocol.unwrap_reply
+           with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: cache-put: %s" name e);
+          Alcotest.(check string)
+            (name ^ ": cache-put entry") (expected ~cached:true rows)
+            (estimate (Some [ names.(0); names.(2) ])))
+        Contention.Analysis.all_paper_estimators)
+
+(* Minor words one cache hit allocates in [handle_line], for a fixed 7-app
+   use-case: a count, not a time, so it is stable on any machine.  Before
+   hits reused their encoded rows a hit took 3,171 words, most of them
+   float formatting; the budget is half of that, so formatting the rows on
+   every hit again fails it. *)
+let hit_words_budget = 1585.
+
+let test_hit_allocation () =
+  let w = Exp.Workload.make ~seed:2007 () in
+  let names = Exp.Workload.names w in
+  with_server (fun server _port ->
+      let digest = upload_in_process server w in
+      let line =
+        Json.to_string
+          (Protocol.request_to_json
+             (Protocol.Estimate
+                {
+                  digest;
+                  usecase = Some (List.init 7 (Array.get names));
+                  estimator = Contention.Analysis.Composability;
+                }))
+      in
+      (* The first request misses and fills the entry; the rest warm up. *)
+      for _ = 1 to 100 do
+        ignore (Serve.Server.handle_line server line : string)
+      done;
+      let hits = 1000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to hits do
+        ignore (Sys.opaque_identity (Serve.Server.handle_line server line))
+      done;
+      let per_hit = (Gc.minor_words () -. w0) /. float_of_int hits in
+      (match
+         Result.bind
+           (Json.of_string (Serve.Server.handle_line server line))
+           Protocol.unwrap_reply
+       with
+      | Ok payload when (unwrap (Protocol.estimate_reply_of_json payload)).cached
+        -> ()
+      | Ok _ -> Alcotest.fail "the measured requests were not cache hits"
+      | Error e -> Alcotest.failf "estimate: %s" e);
+      if per_hit >= hit_words_budget then
+        Alcotest.failf "a cache hit allocates %.0f minor words (budget %.0f)"
+          per_hit hit_words_budget)
+
 let suite =
   [
     Alcotest.test_case "store" `Quick test_store;
@@ -475,4 +588,6 @@ let suite =
     Alcotest.test_case "integration" `Quick test_integration;
     Alcotest.test_case "graceful stop, idle client" `Quick
       test_graceful_stop_with_idle_client;
+    Alcotest.test_case "reply lines match the codec" `Quick test_reply_lines;
+    Alcotest.test_case "cache-hit allocation" `Quick test_hit_allocation;
   ]
