@@ -117,6 +117,18 @@ type churn_result = {
 
 val churn_passed : churn_result -> bool
 
+val churn_app :
+  Sdfgen.Rng.t ->
+  procs:int ->
+  period_slack:float ->
+  name:string ->
+  Contention.Analysis.app
+(** One resident application of a churn stream, drawn as {!churn} draws
+    its joins: 2–4 actors, a modulo mapping over [procs], the HSDF period
+    inflated by [period_slack] as activation period, and applications with a
+    saturated (p = 1) actor redrawn (up to 50 times).  Exposed so a test can
+    replay the stream against another controller. *)
+
 val churn : ?config:churn_config -> seed:int -> unit -> churn_result
 (** Run one churn campaign.  Deterministic in [(config, seed)].
     @raise Invalid_argument on a negative event count. *)

@@ -18,6 +18,16 @@
     O(p²/4) residue in the w-aggregate).  {!counters} exposes both so tests
     can pin them.
 
+    Every period — the candidate's and the victims' in {!try_admit},
+    {!estimated_period_via}, the margin bounds and draws — is one
+    {!Kernel.period_into} call on the application's flattened HSDF, built
+    once when it is admitted (the expansion depends on topology only, never
+    on the loads {!observe} changes).  The kernel is bit-identical to the
+    list-based [Sdf.Hsdf.period] of the graph carrying the same response
+    times, so no verdict, period or margin depends on the engine.  The
+    controller owns the engine's scratch buffers: it is not thread-safe,
+    and concurrent callers must serialise their calls.
+
     On request ({!try_admit}'s [?margin], {!margin_for}), the point estimate
     is wrapped in a {!Margin.t} confidence interval — see DESIGN §15. *)
 
@@ -42,9 +52,12 @@ val default_margin_spec : margin_spec
 (** 95% confidence, z-score, 200 draws, a fixed seed. *)
 
 type verdict =
-  | Admitted of { margin : Margin.t option }
-      (** Admitted; [margin] is the confidence interval around the served
-          period when one was requested. *)
+  | Admitted of { period : float; margin : Margin.t option }
+      (** Admitted; [period] is the candidate's estimated period under the
+          post-admission population — bit for bit what {!estimated_period}
+          returns right after the commit, so a caller replying with the
+          throughput need not compute it again — and [margin] is the
+          confidence interval around it when one was requested. *)
   | Rejected_candidate of { estimated : float; required : float }
       (** The candidate itself would miss its requirement. *)
   | Rejected_victim of { app : string; estimated : float; required : float }

@@ -90,10 +90,10 @@ type cache = {
 (* The kernel engine's period search reads the expansion as flat edge arrays;
    the weight of an edge is the response time of its source node's actor, so
    each edge carries that actor index. *)
-let flatten_expansion (a : app) (h : Sdf.Hsdf.t) =
+let flatten_expansion (h : Sdf.Hsdf.t) =
   Kernel.graph
     ~nnodes:(Sdf.Hsdf.num_nodes h)
-    ~name:a.graph.Sdf.Graph.name
+    ~name:h.source.Sdf.Graph.name
     (Array.map
        (fun (e : Sdf.Hsdf.edge) ->
          (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay))
@@ -113,8 +113,10 @@ let prepare a =
         cached_loads;
         expansion;
         cached_exec = Sdf.Graph.exec_times a.graph;
-        mcr = flatten_expansion a expansion;
+        mcr = flatten_expansion expansion;
       })
+
+let kernel_graph g = flatten_expansion (Sdf.Hsdf.expand g)
 
 (* Period of [a] with response times as execution times.  A cached HSDF
    expansion short-circuits the expensive part of the MCM engine: the

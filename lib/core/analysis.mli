@@ -110,6 +110,14 @@ type cache
 
 val prepare : app -> cache
 
+val kernel_graph : Sdf.Graph.t -> Kernel.graph
+(** The graph's HSDF expansion flattened for {!Kernel.period_into} — the
+    topology-only part of a {!cache}, which {!Admission} keeps per admitted
+    application.  [Kernel.period_into] over it with per-actor response times
+    is bit-identical to {!Sdf.Hsdf.period} of the graph carrying those
+    times.
+    @raise Invalid_argument as {!Sdf.Hsdf.expand}. *)
+
 type workspace
 (** Preallocated buffers for the kernel engine's Figure-4 pass ({!Kernel}):
     per-processor member layout, flat load/wait arrays, period-search

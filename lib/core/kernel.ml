@@ -385,8 +385,13 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
   reserve_graph s g;
   let ne = num_edges g in
   for e = 0 to ne - 1 do
-    if exec.(exec_off + g.wactor.(e)) < 0. then
-      invalid_arg "Sdf.Mcm: negative weight or delay"
+    let w = exec.(exec_off + g.wactor.(e)) in
+    if w < 0. then invalid_arg "Sdf.Mcm: negative weight or delay";
+    (* [w] itself stays unboxed: the message re-reads the array. *)
+    if not (Float.is_finite w) then
+      invalid_arg
+        (Printf.sprintf "Sdf.Mcm: non-finite edge weight %g"
+           exec.(exec_off + g.wactor.(e)))
   done;
   if ne = 0 then invalid_arg (no_cycle_msg g);
   if g.zero_delay_cycle then
@@ -415,15 +420,22 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
      three orders of magnitude of margin over that while leaving only the
      final ~10 probes to run for real. *)
   let guard = (s.f.(0) +. Float.abs mcr +. 2.) *. 1e-11 in
-  (* Lawler binary search: lo in f.(1), hi in f.(2), epsilon 1e-9. *)
+  (* Lawler binary search: lo in f.(1), hi in f.(2), epsilon 1e-9.  As in
+     the reference, the search also stops once the midpoint rounds onto a
+     bound: above ~4.5e6 the ulp exceeds epsilon and the bracket can never
+     get narrower.  s.b.(3) is the reference's [progress] flag. *)
   s.f.(1) <- 0.;
   s.f.(2) <- s.f.(0) +. 1.;
-  while s.f.(2) -. s.f.(1) > 1e-9 do
+  s.b.(3) <- true;
+  while s.b.(3) && s.f.(2) -. s.f.(1) > 1e-9 do
     s.f.(4) <- 0.5 *. (s.f.(1) +. s.f.(2));
-    if certified && s.f.(4) > mcr +. guard then s.b.(0) <- false
-    else if certified && s.f.(4) < mcr -. guard then s.b.(0) <- true
-    else probe s g ~exec ~exec_off;
-    if s.b.(0) then s.f.(1) <- s.f.(4) else s.f.(2) <- s.f.(4)
+    if s.f.(4) <= s.f.(1) || s.f.(4) >= s.f.(2) then s.b.(3) <- false
+    else begin
+      if certified && s.f.(4) > mcr +. guard then s.b.(0) <- false
+      else if certified && s.f.(4) < mcr -. guard then s.b.(0) <- true
+      else probe s g ~exec ~exec_off;
+      if s.b.(0) then s.f.(1) <- s.f.(4) else s.f.(2) <- s.f.(4)
+    end
   done;
   out.(out_idx) <- 0.5 *. (s.f.(1) +. s.f.(2))
 

@@ -107,9 +107,12 @@ val period_into :
     Dinkelbach (critical-cycle) estimate decides the probes that land far
     from the answer without running them — the probe {e outcomes}, hence the
     bisection trajectory and the result, are unchanged; only the handful of
-    probes near the ratio run for real.
-    @raise Invalid_argument exactly as the reference: negative weights, an
-    empty or cycle-free graph, or a zero-delay cycle. *)
+    probes near the ratio run for real.  Like the reference, the search
+    stops once its midpoint rounds onto a bound (periods above ~4.5e6,
+    where the ulp exceeds epsilon).
+    @raise Invalid_argument exactly as the reference: negative or
+    non-finite weights, an empty or cycle-free graph, or a zero-delay
+    cycle. *)
 
 (** {1 Incremental group state}
 

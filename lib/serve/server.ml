@@ -427,14 +427,8 @@ let handle_admit t ~session ~digest ~app ~min_throughput ~confidence
                   | paper_verdict ->
                       let verdict =
                         match paper_verdict with
-                        | Contention.Admission.Admitted { margin } ->
-                            Protocol.Admitted
-                              {
-                                throughput =
-                                  Contention.Admission.estimated_throughput ctl
-                                    app;
-                                margin;
-                              }
+                        | Contention.Admission.Admitted { period; margin } ->
+                            Protocol.Admitted { throughput = 1. /. period; margin }
                         | Contention.Admission.Rejected_candidate
                             { estimated; required } ->
                             Protocol.Rejected_candidate { estimated; required }

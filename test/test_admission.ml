@@ -205,3 +205,45 @@ let test_observe_measured_periods () =
 
 let suite = suite @ [ Alcotest.test_case "observe measured periods" `Quick
                         test_observe_measured_periods ]
+
+(* Minor words one [try_admit] allocates on the paper workload, five
+   residents plus a candidate: a count, not a time, so it is stable on any
+   machine.  While every admission period re-expanded the HSDF and ran the
+   list-based period search, this took ~24,900 words; on the kernel engine
+   it takes ~3,600, most of them the candidate's one expansion.  The budget
+   is under half the old figure, so putting the list-based search back on
+   the candidate's or the victims' periods fails it. *)
+let admit_words_budget = 11645.
+
+let test_admit_allocation () =
+  let w = Exp.Workload.make ~seed:2007 () in
+  let ctl = Admission.create ~procs:w.procs () in
+  for a = 0 to 4 do
+    ignore (Admission.try_admit ctl w.apps.(a) Admission.best_effort)
+  done;
+  let candidate = w.apps.(5) in
+  let name = candidate.Analysis.graph.Sdf.Graph.name in
+  let admit () =
+    match Admission.try_admit ctl candidate Admission.best_effort with
+    | Admission.Admitted _ -> ()
+    | _ -> Alcotest.fail "best-effort candidate rejected"
+  in
+  for _ = 1 to 20 do
+    admit ();
+    Admission.withdraw ctl name
+  done;
+  let admits = 200 in
+  let words = ref 0. in
+  for _ = 1 to admits do
+    let w0 = Gc.minor_words () in
+    admit ();
+    words := !words +. (Gc.minor_words () -. w0);
+    Admission.withdraw ctl name
+  done;
+  let per_admit = !words /. float_of_int admits in
+  if per_admit >= admit_words_budget then
+    Alcotest.failf "a try_admit allocates %.0f minor words (budget %.0f)"
+      per_admit admit_words_budget
+
+let suite = suite @ [ Alcotest.test_case "try_admit allocation" `Quick
+                        test_admit_allocation ]

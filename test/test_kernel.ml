@@ -200,6 +200,55 @@ let test_period_known_value () =
   Kernel.period_into s g2 ~exec:[| 3.; 5.; 9. |] ~exec_off:0 ~out ~out_idx:0;
   Fixtures.check_float ~eps:1e-8 "critical cycle" 12. out.(0)
 
+(* Past ~4.5e6 the ulp of a period exceeds the search's 1e-9 tolerance, so
+   the bisection must stop once its midpoint rounds onto a bound, as
+   Sdf.Mcm's does (at 1e7 the kernel used to loop for ever), and land on
+   the same bits. *)
+let test_period_huge_weights () =
+  let s = Kernel.scratch () in
+  let out = [| 0. |] in
+  let scaled tau g =
+    let top = Array.fold_left Float.max 0. (Sdf.Graph.exec_times g) in
+    Sdf.Graph.with_exec_times g
+      (Array.map (fun t -> t /. top *. tau) (Sdf.Graph.exec_times g))
+  in
+  List.iter
+    (fun tau ->
+      List.iter
+        (fun g ->
+          let g = scaled tau g in
+          Kernel.period_into s (Analysis.kernel_graph g)
+            ~exec:(Sdf.Graph.exec_times g) ~exec_off:0 ~out ~out_idx:0;
+          let expected = Sdf.Hsdf.period g in
+          if Int64.bits_of_float expected <> Int64.bits_of_float out.(0) then
+            Alcotest.failf "%s at %g: kernel %.17g, Sdf.Mcm %.17g"
+              g.Sdf.Graph.name tau out.(0) expected)
+        [ Fixtures.single (); Fixtures.pipeline (); Fixtures.graph_a () ])
+    [ 1e6; 1e7; 1e12; 1e300 ]
+
+(* A non-finite weight is refused with Sdf.Mcm's message, not reported as a
+   cycle-free graph. *)
+let test_period_non_finite () =
+  let s = Kernel.scratch () in
+  let out = [| 0. |] in
+  let g = Kernel.graph ~nnodes:2 ~name:"ring" [| (0, 1, 0, 1); (1, 0, 1, 1) |] in
+  List.iter
+    (fun (w, message) ->
+      let error f = match f () with _ -> "no error" | exception Invalid_argument m -> m in
+      let reference =
+        error (fun () ->
+            Sdf.Mcm.max_cycle_ratio ~nodes:2 [| (0, 1, 3., 1); (1, 0, w, 1) |])
+      in
+      Alcotest.(check string) "Sdf.Mcm's message" message reference;
+      Alcotest.(check string) "kernel message" message
+        (error (fun () ->
+             Kernel.period_into s g ~exec:[| 3.; w |] ~exec_off:0 ~out ~out_idx:0)))
+    [
+      (infinity, "Sdf.Mcm: non-finite edge weight inf");
+      (nan, "Sdf.Mcm: non-finite edge weight nan");
+      (neg_infinity, "Sdf.Mcm: negative weight or delay");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence and batching *)
 
@@ -332,6 +381,8 @@ let suite =
     Alcotest.test_case "group errors" `Quick test_group_errors;
     Alcotest.test_case "graph validation" `Quick test_graph_validation;
     Alcotest.test_case "period known values" `Quick test_period_known_value;
+    Alcotest.test_case "period huge weights" `Quick test_period_huge_weights;
+    Alcotest.test_case "period non-finite weights" `Quick test_period_non_finite;
     Alcotest.test_case "engine bit-identity" `Quick test_engine_bit_identity;
     Alcotest.test_case "batch bit-identity" `Quick test_batch_bit_identity;
     Alcotest.test_case "periods-into agreement" `Quick test_periods_into_matches;

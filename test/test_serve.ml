@@ -531,6 +531,34 @@ let test_reply_lines () =
             (estimate (Some [ names.(0); names.(2) ])))
         Contention.Analysis.all_paper_estimators)
 
+(* A single actor of execution time 1e7 has period 1e7, past the point
+   (~4.5e6) where the ulp exceeds the period search's 1e-9 tolerance; the
+   kernel's bisection once spun for ever there, pinning the worker.  Every
+   estimator must reply, with the list-based path's periods. *)
+let test_huge_times_estimate () =
+  let payload =
+    "# contention-workload procs=1 seed=0\ngraph \"big\"\nactor s0 10000000\n\
+     channel s0 -> s0 produce 1 consume 1 tokens 1\n"
+  in
+  let w =
+    match Exp.Workload.of_string payload with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "workload: %s" e
+  in
+  with_server (fun server _port ->
+      let digest = upload_in_process server w in
+      List.iter
+        (fun estimator ->
+          let name = Protocol.estimator_to_string estimator in
+          let rows = direct_rows w (Contention.Usecase.full ~napps:1) estimator in
+          Alcotest.(check string) name
+            (Json.to_string
+               (Protocol.ok
+                  (Protocol.estimate_reply_to_json
+                     { Protocol.cached = false; estimator = name; rows })))
+            (handle server (Protocol.Estimate { digest; usecase = None; estimator })))
+        Contention.Analysis.all_paper_estimators)
+
 (* Minor words one cache hit allocates in [handle_line], for a fixed 7-app
    use-case: a count, not a time, so it is stable on any machine.  Before
    hits reused their encoded rows a hit took 3,171 words, most of them
@@ -589,5 +617,7 @@ let suite =
     Alcotest.test_case "graceful stop, idle client" `Quick
       test_graceful_stop_with_idle_client;
     Alcotest.test_case "reply lines match the codec" `Quick test_reply_lines;
+    Alcotest.test_case "estimate at huge execution times" `Quick
+      test_huge_times_estimate;
     Alcotest.test_case "cache-hit allocation" `Quick test_hit_allocation;
   ]
