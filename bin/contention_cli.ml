@@ -32,9 +32,20 @@ let procs_arg =
   let doc = "Number of processors." in
   Arg.(value & opt int 10 & info [ "procs" ] ~docv:"P" ~doc)
 
+(* The simulator refuses a NaN, infinite or negative horizon: say so before
+   any work starts. *)
+let checked_horizon flag h =
+  if Float.is_finite h && h >= 0. then h
+  else begin
+    Printf.eprintf "contention: %s %g is not finite and non-negative\n" flag h;
+    exit 2
+  end
+
 let horizon_arg =
   let doc = "Simulation horizon in time units (the paper used 500000)." in
-  Arg.(value & opt float 500_000. & info [ "horizon" ] ~docv:"T" ~doc)
+  Term.(
+    const (checked_horizon "--horizon")
+    $ Arg.(value & opt float 500_000. & info [ "horizon" ] ~docv:"T" ~doc))
 
 let usecase_arg =
   let doc =
@@ -225,7 +236,15 @@ let simulate_cmd =
         let util = Desim.Engine.utilisation stats in
         Printf.printf "  processor utilisation: %s\n"
           (String.concat " "
-             (Array.to_list (Array.map (Printf.sprintf "%.2f") util)))
+             (Array.to_list (Array.map (Printf.sprintf "%.2f") util)));
+        match stats.cycle with
+        | Some c ->
+            Printf.printf
+              "  cycle: the state at t=%.0f recurs every %.0f; %d whole cycles (%.0f time \
+               units) skipped\n"
+              c.start c.length c.skipped
+              (float_of_int c.skipped *. c.length)
+        | None -> print_endline "  cycle: none skipped, every firing stepped"
   in
   let term =
     Term.(const run $ seed_arg $ num_apps_arg $ procs_arg $ usecase_arg $ horizon_arg)
@@ -563,10 +582,12 @@ let serve_cmd =
   in
   let audit_horizon_arg =
     let doc = "Simulation horizon of audit replays, in time units." in
-    Arg.(
-      value
-      & opt float Serve.Audit.default_config.Serve.Audit.horizon
-      & info [ "audit-horizon" ] ~docv:"T" ~doc)
+    Term.(
+      const (checked_horizon "--audit-horizon")
+      $ Arg.(
+          value
+          & opt float Serve.Audit.default_config.Serve.Audit.horizon
+          & info [ "audit-horizon" ] ~docv:"T" ~doc))
   in
   let audit_drift_delta_arg =
     let doc =

@@ -17,7 +17,11 @@
    it bit-identical to the reference engine there: the heap orders
    completions by (time, insertion sequence), the FCFS ring keeps arrival
    order, completions at one instant are drained before any processor
-   picks, and idle processors pick in ascending processor order. *)
+   picks, and idle processors pick in ascending processor order.
+
+   Cycle skipping (see the section below) jumps over whole periods of a
+   deterministic run once its state recurs; every result stays
+   bit-identical to stepping each firing. *)
 
 type app = Appstate.app = { graph : Sdf.Graph.t; mapping : int array }
 
@@ -34,10 +38,13 @@ type result = Appstate.result = {
   busy_time : float array;
 }
 
+type cycle = { start : float; length : float; skipped : int }
+
 type stats = {
   final_time : float;
   total_firings : int;
   proc_busy : float array;
+  cycle : cycle option;
 }
 
 type arbitration = Fcfs | Fixed_priority | Static_order of (int * int) array array
@@ -51,6 +58,33 @@ let running = 2
 let r_now = 0 (* time of the instant being processed; the final time at exit *)
 let r_tau = 1 (* duration of the firing being started *)
 let r_due = 2 (* completion time handed to [heap_push] *)
+
+(* Recurrence store for cycle skipping, one per domain and reused across
+   runs.  Slot [i < count] holds a checkpoint's canonical state
+   ([snap.(i * words ..)]), its fingerprint, and the counters a jump
+   extrapolates: time, total firings and iterations per app in [ints],
+   app then processor busy time in [floats].  Slot [count], always below
+   [capacity], is scratch for the checkpoint being looked up.  Only every
+   [stride]-th checkpoint is kept; when [capacity] are, every other one
+   goes and the stride doubles, so memory stays at [capacity] states and a
+   recurrence is found at most one stride late. *)
+type store = {
+  mutable busy : bool;  (* a run on this domain holds it *)
+  mutable words : int;
+  mutable nints : int;
+  mutable nfloats : int;
+  mutable snap : int array;
+  mutable ints : int array;
+  mutable floats : float array;
+  fp : int array;
+  index : int array;  (* open addressing on fingerprints: slot + 1, 0 = empty *)
+  mutable count : int;
+  mutable stride : int;
+  mutable seen : int;  (* checkpoints looked up so far *)
+}
+
+let capacity = 32
+let index_size = 4 * capacity (* a power of two, at most a quarter full *)
 
 type t = {
   arbitration : arbitration;  (* dispatch only; static orders live in [so] *)
@@ -107,6 +141,10 @@ type t = {
   min_gap : float array;
   app_busy : float array;  (* [a * procs + p] *)
   mutable total_firings : int;
+  (* Cycle skipping: the store while checkpoints are looked up, and the
+     cycle skipped. *)
+  mutable store : store option;
+  mutable cycle : cycle option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -292,6 +330,239 @@ let finish s g =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Cycle skipping
+
+   With integer execution times and no hooks, every time and busy sum is an
+   exact float integer, and the state at the end of an instant fixes the
+   rest of the run up to a shift in time.  A checkpoint is the end of an
+   instant in which app 0 completed an iteration, once every app has a kept
+   (post-warm-up) iteration.  Its canonical state, relative to [now]:
+   - token counts;
+   - per actor, 0 when idle, 1 + its place in its processor's FCFS ring
+     when queued (1 under the other policies), and minus its remaining
+     time when running;
+   - per app, [fires0 mod q0] and the time since its last iteration, so
+     the first gap after a recurrence equals the first gap after the
+     state's earlier visit;
+   - the static-order positions.
+   The heap's order among equal due times needs no entry: a firing's
+   duration is its actor's execution time, so of two completions due
+   together the longer firing started first, and equal firings started in
+   the same instant, picked in ascending processor order.
+   When a checkpoint's state equals a stored one, the run between them
+   repeats until the horizon.  [jump] adds whole repetitions; since every
+   app completed an iteration in the cycle with the same gaps, the period
+   extremes cannot change and [kept_first] stays. *)
+
+let new_store () =
+  {
+    busy = false;
+    words = 0;
+    nints = 0;
+    nfloats = 0;
+    snap = [||];
+    ints = [||];
+    floats = [||];
+    fp = Array.make capacity 0;
+    index = Array.make index_size 0;
+    count = 0;
+    stride = 1;
+    seen = 0;
+  }
+
+let store_key = Domain.DLS.new_key new_store
+
+(* This domain's store sized for a run, or a fresh one if a run on another
+   systhread of the domain holds it.  No allocation or poll point separates
+   the test of [busy] from its set, so no other systhread runs between. *)
+let acquire ~words ~nints ~nfloats =
+  let st = Domain.DLS.get store_key in
+  let st = if st.busy then new_store () else st in
+  st.busy <- true;
+  (* Arrays grow to powers of two, so a sweep of rising state sizes leaves
+     little garbage behind. *)
+  let size n =
+    let c = ref 1 in
+    while !c < n do
+      c := 2 * !c
+    done;
+    !c
+  in
+  let slots = capacity in
+  if Array.length st.snap < slots * words then st.snap <- Array.make (size (slots * words)) 0;
+  if Array.length st.ints < slots * nints then st.ints <- Array.make (size (slots * nints)) 0;
+  if Array.length st.floats < slots * nfloats then
+    st.floats <- Array.make (size (slots * nfloats)) 0.;
+  st.words <- words;
+  st.nints <- nints;
+  st.nfloats <- nfloats;
+  st.count <- 0;
+  st.stride <- 1;
+  st.seen <- 0;
+  Array.fill st.index 0 index_size 0;
+  st
+
+let state_words s =
+  let positions = match s.arbitration with Static_order _ -> s.procs | Fcfs | Fixed_priority -> 0 in
+  Array.length s.tokens + Array.length s.state + (2 * Array.length s.q0) + positions
+
+(* Write the canonical state at [f.(r_now)] into the scratch slot. *)
+let write_state s st =
+  let snap = st.snap and now = s.f.(r_now) in
+  let base = st.count * st.words in
+  let nchannels = Array.length s.tokens and nactors = Array.length s.state in
+  Array.blit s.tokens 0 snap base nchannels;
+  let actors = base + nchannels in
+  for g = 0 to nactors - 1 do
+    snap.(actors + g) <- (if s.state.(g) = queued then 1 else 0)
+  done;
+  (match s.arbitration with
+  | Fcfs ->
+      for p = 0 to s.procs - 1 do
+        let off = s.pa_off.(p) in
+        let cap = s.pa_off.(p + 1) - off in
+        for i = 0 to s.waiting.(p) - 1 do
+          snap.(actors + s.ring.(off + ((s.head.(p) + i) mod cap))) <- 1 + i
+        done
+      done
+  | Fixed_priority | Static_order _ -> ());
+  (* Every completion is due after [now]: those at [now] are drained. *)
+  for i = 0 to s.hsize - 1 do
+    snap.(actors + s.hg.(i)) <- Float.to_int (now -. s.ht.(i))
+  done;
+  let k = actors + nactors in
+  for a = 0 to Array.length s.q0 - 1 do
+    snap.(k + (2 * a)) <- s.fires0.(a) mod s.q0.(a);
+    snap.(k + (2 * a) + 1) <- Float.to_int (now -. s.last_completion.(a))
+  done;
+  match s.arbitration with
+  | Static_order _ -> Array.blit s.so_pos 0 snap (k + (2 * Array.length s.q0)) s.procs
+  | Fcfs | Fixed_priority -> ()
+
+let fingerprint st slot =
+  let h = ref 0 in
+  for i = slot * st.words to ((slot + 1) * st.words) - 1 do
+    let x = (!h lxor st.snap.(i)) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h
+
+let same_state st a b =
+  let w = st.words in
+  let i = ref 0 in
+  while !i < w && st.snap.((a * w) + !i) = st.snap.((b * w) + !i) do
+    incr i
+  done;
+  !i = w
+
+(* The stored slot whose state equals the scratch slot's, or -1. *)
+let find st h =
+  let mask = index_size - 1 in
+  let k = ref (h land mask) and found = ref (-1) in
+  while !found < 0 && st.index.(!k) > 0 do
+    let slot = st.index.(!k) - 1 in
+    if st.fp.(slot) = h && same_state st slot st.count then found := slot
+    else k := (!k + 1) land mask
+  done;
+  !found
+
+let index_add st slot =
+  let mask = index_size - 1 in
+  let k = ref (st.fp.(slot) land mask) in
+  while st.index.(!k) > 0 do
+    k := (!k + 1) land mask
+  done;
+  st.index.(!k) <- slot + 1
+
+(* Keep the even slots (checkpoints 0, 2 stride, ...) and double the stride. *)
+let compact st =
+  let half = st.count / 2 in
+  for i = 1 to half - 1 do
+    Array.blit st.snap (2 * i * st.words) st.snap (i * st.words) st.words;
+    Array.blit st.ints (2 * i * st.nints) st.ints (i * st.nints) st.nints;
+    Array.blit st.floats (2 * i * st.nfloats) st.floats (i * st.nfloats) st.nfloats;
+    st.fp.(i) <- st.fp.(2 * i)
+  done;
+  st.count <- half;
+  st.stride <- 2 * st.stride;
+  Array.fill st.index 0 index_size 0;
+  for i = 0 to half - 1 do
+    index_add st i
+  done
+
+(* Keep the scratch slot, with the counters a jump extrapolates from. *)
+let keep s st h =
+  let slot = st.count in
+  let b = slot * st.nints and napps = Array.length s.q0 in
+  st.ints.(b) <- Float.to_int s.f.(r_now);
+  st.ints.(b + 1) <- s.total_firings;
+  Array.blit s.iterations 0 st.ints (b + 2) napps;
+  let fb = slot * st.nfloats and nb = Array.length s.app_busy in
+  Array.blit s.app_busy 0 st.floats fb nb;
+  Array.blit s.proc_busy 0 st.floats (fb + nb) s.procs;
+  st.fp.(slot) <- h;
+  index_add st slot;
+  st.count <- slot + 1;
+  if st.count = capacity then compact st
+
+(* The state at [f.(r_now)] equals that of [slot]: add the
+   [(limit - now) / length] whole cycles that fit before [limit]. *)
+let jump s st slot ~limit =
+  let now = Float.to_int s.f.(r_now) in
+  let b = slot * st.nints in
+  let start = st.ints.(b) in
+  let length = now - start in
+  let m = (limit - now) / length in
+  if m > 0 then begin
+    let shift = float_of_int (m * length) and fm = float_of_int m in
+    s.f.(r_now) <- s.f.(r_now) +. shift;
+    for i = 0 to s.hsize - 1 do
+      s.ht.(i) <- s.ht.(i) +. shift
+    done;
+    for a = 0 to Array.length s.q0 - 1 do
+      s.last_completion.(a) <- s.last_completion.(a) +. shift;
+      let d = m * (s.iterations.(a) - st.ints.(b + 2 + a)) in
+      s.iterations.(a) <- s.iterations.(a) + d;
+      s.kept_count.(a) <- s.kept_count.(a) + d;
+      s.fires0.(a) <- s.fires0.(a) + (d * s.q0.(a))
+    done;
+    s.total_firings <- s.total_firings + (m * (s.total_firings - st.ints.(b + 1)));
+    let fb = slot * st.nfloats and nb = Array.length s.app_busy in
+    for i = 0 to nb - 1 do
+      s.app_busy.(i) <- s.app_busy.(i) +. (fm *. (s.app_busy.(i) -. st.floats.(fb + i)))
+    done;
+    for p = 0 to s.procs - 1 do
+      s.proc_busy.(p) <- s.proc_busy.(p) +. (fm *. (s.proc_busy.(p) -. st.floats.(fb + nb + p)))
+    done;
+    s.cycle <- Some { start = float_of_int start; length = float_of_int length; skipped = m }
+  end
+
+let all_kept s =
+  let all = ref true in
+  for a = 0 to Array.length s.kept_count - 1 do
+    if s.kept_count.(a) = 0 then all := false
+  done;
+  !all
+
+(* End of an instant in which app 0 completed an iteration; a checkpoint
+   once every app has a kept iteration. *)
+let checkpoint s ~limit =
+  match s.store with
+  | Some st when all_kept s ->
+      write_state s st;
+      let h = fingerprint st st.count in
+      let slot = find st h in
+      if slot >= 0 then begin
+        jump s st slot ~limit;
+        s.store <- None
+      end
+      else begin
+        if st.seen land (st.stride - 1) = 0 then keep s st h;
+        st.seen <- st.seen + 1
+      end
+  | Some _ | None -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Set-up *)
 
 let validate_order ~procs apps orders =
@@ -423,6 +694,8 @@ let make ~warmup ~on_event ~firing_time ~arbitration ~procs apps =
     min_gap = Array.make napps nan;
     app_busy = Array.make (napps * procs) 0.;
     total_firings = 0;
+    store = None;
+    cycle = None;
   }
 
 let result s apps a =
@@ -442,11 +715,29 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
     ?(arbitration = Fcfs) ~procs apps =
   if Array.length apps = 0 then invalid_arg "Desim.Engine.run: no applications";
   if procs < 1 then invalid_arg "Desim.Engine.run: procs < 1";
+  if not (Float.is_finite horizon && horizon >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Desim.Engine.run: horizon %g is not finite and non-negative" horizon);
   Array.iteri (fun index a -> Appstate.validate ~procs ~index a) apps;
   (match arbitration with
   | Static_order orders -> validate_order ~procs apps orders
   | Fcfs | Fixed_priority -> ());
   let s = make ~warmup:warmup_iterations ~on_event ~firing_time ~arbitration ~procs apps in
+  (* Cycle skipping needs exact, shift-invariant float integers: integer
+     execution times and every time up to the horizon within 2^53. *)
+  let max_exec = Array.fold_left Float.max 0. s.exec in
+  if
+    Option.is_none on_event && Option.is_none firing_time
+    && Array.for_all (fun x -> Float.is_integer x && x > 0.) s.exec
+    && horizon +. max_exec <= 0x1p53
+  then
+    s.store <-
+      Some
+        (acquire ~words:(state_words s)
+           ~nints:(2 + Array.length apps)
+           ~nfloats:(Array.length s.app_busy + procs));
+  let held = s.store in
+  let limit = if Option.is_some held then Float.to_int horizon else 0 in
   (* Boot: queue everything initially enabled, start the processors. *)
   for g = 0 to Array.length s.state - 1 do
     if enabled s g then enqueue s g
@@ -463,6 +754,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
       s.f.(r_now) <- horizon
     end
     else begin
+      let iterations0 = s.iterations.(0) in
       s.f.(r_now) <- time;
       finish s g;
       (* Drain every completion scheduled for this same instant before any
@@ -475,11 +767,18 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
       (* Idle processors with waiting work pick their next firing. *)
       for p = 0 to procs - 1 do
         if s.serving.(p) < 0 && s.waiting.(p) > 0 then start_service s p
-      done
+      done;
+      if s.iterations.(0) <> iterations0 then checkpoint s ~limit
     end
   done;
+  Option.iter (fun st -> st.busy <- false) held;
   ( Array.init (Array.length apps) (result s apps),
-    { final_time = s.f.(r_now); total_firings = s.total_firings; proc_busy = s.proc_busy } )
+    {
+      final_time = s.f.(r_now);
+      total_firings = s.total_firings;
+      proc_busy = s.proc_busy;
+      cycle = s.cycle;
+    } )
 
 let utilisation stats =
   if stats.final_time <= 0. then Array.map (fun _ -> 0.) stats.proc_busy

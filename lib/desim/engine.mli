@@ -39,7 +39,26 @@
     allocates nothing: [Start]/[Finish] records are built only for an
     [on_event] callback, and a [firing_time] result is boxed by its closure.
     [test/test_engine.ml] enforces this by comparing the minor words of runs
-    at two horizons. *)
+    at two horizons.
+
+    {b Cycle skipping.}  With integer execution times and no hooks, a run is
+    a deterministic finite-state system, so it becomes exactly periodic.  At
+    the end of every instant in which application 0 completes an iteration
+    (once every application has a kept, post-warm-up iteration), the engine
+    looks up its canonical state: token counts; per actor whether it is
+    idle, queued (with its place in an FCFS ring) or running (with its
+    remaining time); each app's [fires0 mod q0] and time since its last
+    iteration; and the static-order positions.  On the first exact
+    recurrence it adds every whole cycle that fits before the horizon, then
+    steps the rest.  Every result and statistic is
+    bit-identical to stepping each firing: all times and busy sums are exact
+    float integers.  The states live in a per-domain store of fixed capacity
+    (every other state is dropped and the sampling stride doubled when it
+    fills), reused across runs; checkpoints allocate nothing once it has
+    grown to a workload's state size.  This applies only when every
+    execution time is integer-valued and [horizon + max exec <= 2^53], and
+    never with [on_event] or [firing_time]; {!stats.cycle} says whether it
+    happened. *)
 
 type app = Appstate.app = {
   graph : Sdf.Graph.t;
@@ -81,10 +100,20 @@ type result = Appstate.result = {
       (** Per-processor total busy time attributable to this app. *)
 }
 
+type cycle = {
+  start : float;  (** Time the recurring state was first recorded. *)
+  length : float;  (** Time between two visits of that state. *)
+  skipped : int;  (** Whole cycles added without stepping their firings. *)
+}
+
 type stats = {
   final_time : float;  (** Simulated time at which the run stopped. *)
   total_firings : int;
+      (** Firings completed within the horizon, including those of skipped
+          cycles. *)
   proc_busy : float array;  (** Per-processor total busy time (all apps). *)
+  cycle : cycle option;
+      (** The cycle skipped, or [None] when every firing was stepped. *)
 }
 
 val run :
@@ -108,8 +137,8 @@ val run :
     must be positive and finite.  It is called once per firing, in start
     order.
     @raise Invalid_argument on an invalid mapping, an empty application set,
-    or a [firing_time] result that is not positive and finite (NaN,
-    infinite, zero or negative). *)
+    a horizon that is NaN, infinite or negative, or a [firing_time] result
+    that is not positive and finite (NaN, infinite, zero or negative). *)
 
 val utilisation : stats -> float array
 (** Per-processor busy fraction of the simulated time. *)

@@ -32,6 +32,9 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
   if Array.length apps = 0 then invalid_arg "Desim.Preemptive.run: no applications";
   if procs < 1 then invalid_arg "Desim.Preemptive.run: procs < 1";
   if wheel <= 0. then invalid_arg "Desim.Preemptive.run: wheel <= 0";
+  if not (Float.is_finite horizon && horizon >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Desim.Preemptive.run: horizon %g is not finite and non-negative" horizon);
   Array.iteri (fun index a -> Appstate.validate ~procs ~index a) apps;
   let states = Array.map (fun a -> Appstate.make ~procs a) apps in
   let busy_actor =
@@ -201,4 +204,4 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
         if proc_states.(proc).generation = generation then complete proc time
   done;
   ( Array.map Appstate.result states,
-    { Engine.final_time = !now; total_firings = !total_firings; proc_busy } )
+    { Engine.final_time = !now; total_firings = !total_firings; proc_busy; cycle = None } )

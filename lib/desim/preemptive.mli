@@ -35,4 +35,4 @@ val run :
     at its final completion, so start-to-finish spans include preemption
     gaps.
     @raise Invalid_argument on an invalid mapping, an empty application set,
-    or a non-positive [wheel]. *)
+    a non-positive [wheel], or a horizon that is NaN, infinite or negative. *)

@@ -28,6 +28,16 @@ type task_result = {
   task_analysis_s : float array;  (** Aligned with the estimator list. *)
 }
 
+(* [sweep.simulate] span args saying why a simulation was fast. *)
+let cycle_args = function
+  | None -> []
+  | Some (c : Desim.Engine.cycle) ->
+      [
+        ("cycle_start", Printf.sprintf "%.0f" c.start);
+        ("cycle_length", Printf.sprintf "%.0f" c.length);
+        ("cycles_skipped", string_of_int c.skipped);
+      ]
+
 let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
     ?(exact_check = false) (w : Workload.t) =
   let estimators =
@@ -64,13 +74,18 @@ let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
   in
   let observe_usecase idx usecase indices =
     let t0 = Obs.Clock.now_ns () in
-    let sim_results, _ =
+    let cycle = ref None in
+    let sim_results =
       Obs.Span.with_ ~name:"sweep.simulate"
-        ~args:(fun () -> [ ("task", string_of_int idx) ])
+        ~args:(fun () -> ("task", string_of_int idx) :: cycle_args !cycle)
         (fun () ->
-          Desim.Engine.run ~horizon
-            ?firing_time:(Workload.sim_firing_time w usecase)
-            ~procs:w.procs (Workload.sim_apps w usecase))
+          let results, stats =
+            Desim.Engine.run ~horizon
+              ?firing_time:(Workload.sim_firing_time w usecase)
+              ~procs:w.procs (Workload.sim_apps w usecase)
+          in
+          cycle := stats.cycle;
+          results)
     in
     let task_sim_s = Obs.Clock.elapsed_s ~since:t0 in
     let pairs = List.map (fun i -> (w.apps.(i), caches.(i))) indices in

@@ -2,7 +2,8 @@
    [Desim.Engine], kept verbatim as a test-only differential oracle: the
    rewrite must reproduce its results, statistics and event stream bit for
    bit.  Only the module paths are qualified and the types re-exported from
-   [Desim.Engine], so that both engines' outputs compare directly. *)
+   [Desim.Engine], so that both engines' outputs compare directly.  It steps
+   every firing, so its [cycle] is always [None]. *)
 
 open Desim
 
@@ -25,6 +26,7 @@ type stats = Engine.stats = {
   final_time : float;
   total_firings : int;
   proc_busy : float array;
+  cycle : Engine.cycle option;
 }
 
 type arbitration = Engine.arbitration =
@@ -207,7 +209,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
         end
   done;
   ( Array.map Appstate.result states,
-    { final_time = !now; total_firings = !total_firings; proc_busy } )
+    { final_time = !now; total_firings = !total_firings; proc_busy; cycle = None } )
 
 let utilisation stats =
   if stats.final_time <= 0. then Array.map (fun _ -> 0.) stats.proc_busy

@@ -107,12 +107,49 @@ let test_bad_firing_time_rejected () =
       | _ -> Alcotest.failf "firing_time %s accepted" what)
     [ ("NaN", Float.nan); ("+infinity", Float.infinity); ("negative", -1.) ]
 
+let test_bad_horizon_rejected () =
+  (* A NaN or infinite horizon used to hang both simulators, and a negative
+     one silently reported no iterations. *)
+  let apps = [| dedicated (Fixtures.graph_a ()) |] in
+  List.iter
+    (fun (what, horizon) ->
+      (match Engine.run ~horizon ~procs:3 apps with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Engine.run accepted horizon %s" what);
+      match Preemptive.run ~horizon ~wheel:10. ~procs:3 apps with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Preemptive.run accepted horizon %s" what)
+    [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity); ("-5", -5.) ];
+  let results, stats = Engine.run ~horizon:0. ~procs:3 apps in
+  Alcotest.(check int) "horizon 0: no iterations" 0 results.(0).Engine.iterations;
+  Fixtures.check_float ~eps:0. "horizon 0: final time" 0. stats.Engine.final_time
+
+(* Minor words and firings of a run; the first call warms the domain's
+   cycle store, the ones compared run on it warm. *)
+let measured ~horizon ~procs apps =
+  let w0 = Gc.minor_words () in
+  let results, stats = Engine.run ~horizon ~procs apps in
+  (Gc.minor_words () -. w0, results, stats)
+
+let check_flat_words ~what ~horizon ~procs apps =
+  ignore (measured ~horizon ~procs apps);
+  let single, _, s1 = measured ~horizon ~procs apps in
+  let double, r2, s2 = measured ~horizon:(2. *. horizon) ~procs apps in
+  let f1 = s1.Engine.total_firings and f2 = s2.Engine.total_firings in
+  if f2 - f1 <= 10_000 then Alcotest.failf "%s: too few extra firings: %d -> %d" what f1 f2;
+  if double -. single >= 8. then
+    Alcotest.failf "%s allocates: %g minor words at %d firings, %g at %d" what single f1 double
+      f2;
+  (s1, s2, r2)
+
 let test_firing_loop_allocates_nothing () =
   (* The allocation budget: with [on_event] and [firing_time] absent, a run
      allocates only its O(actors + channels) set-up, so doubling the horizon
      must leave the minor-word count unchanged while the firings grow.  Both
      windows include the same constant cost (the boxed float Gc.minor_words
-     itself returns). *)
+     itself returns).  These runs skip cycles, so their extra firings are
+     mostly extrapolated: the companion test below keeps the firing loop
+     itself gated. *)
   let graphs =
     Sdfgen.Generator.generate_many ~seed:11 3
       ~params:{ Sdfgen.Generator.default_params with actors_min = 4; actors_max = 6 }
@@ -120,19 +157,35 @@ let test_firing_loop_allocates_nothing () =
   let apps =
     Array.map (fun g -> { Engine.graph = g; mapping = Contention.Mapping.modulo ~procs:2 g }) graphs
   in
-  let run horizon =
-    let w0 = Gc.minor_words () in
-    let _, stats = Engine.run ~horizon ~procs:2 apps in
-    (Gc.minor_words () -. w0, stats.Engine.total_firings)
+  let s1, _, _ = check_flat_words ~what:"run" ~horizon:500_000. ~procs:2 apps in
+  Alcotest.(check bool) "the run skips cycles" true (Option.is_some s1.Engine.cycle)
+
+let test_checkpoints_allocate_nothing () =
+  (* Two apps on their own processors, with periods 1001 and 1013: the
+     joint state at app 0's iterations first recurs after
+     lcm(1001, 1013) = 1,014,013 time units, past both horizons.  Every
+     firing is stepped and every app-0 iteration is a checkpoint looked up
+     in the warm store, so equal minor words at H and 2H gate the firing
+     loop and the checkpoints together. *)
+  let app name n proc =
+    {
+      Engine.graph =
+        Sdf.Graph.create ~name
+          ~actors:[| (name ^ "0", 1.); (name ^ "1", 1.) |]
+          ~channels:[| (0, 1, 1, n, 0); (1, 0, n, 1, n) |];
+      mapping = [| proc; proc |];
+    }
   in
-  let horizon = 500_000. in
-  ignore (run horizon);
-  let single, f1 = run horizon in
-  let double, f2 = run (2. *. horizon) in
-  if f2 - f1 <= 10_000 then Alcotest.failf "too few extra firings: %d -> %d" f1 f2;
-  if double -. single >= 8. then
-    Alcotest.failf "firing loop allocates: %g minor words at %d firings, %g at %d" single f1
-      double f2
+  let apps = [| app "x" 1000 0; app "y" 1012 1 |] in
+  let s1, s2, r2 =
+    check_flat_words ~what:"firing loop with checkpoints" ~horizon:500_000. ~procs:2 apps
+  in
+  Alcotest.(check bool) "no cycle at H" true (Option.is_none s1.Engine.cycle);
+  Alcotest.(check bool) "no cycle at 2H" true (Option.is_none s2.Engine.cycle);
+  Fixtures.check_float ~eps:0. "x period" 1001. r2.(0).Engine.avg_period;
+  Fixtures.check_float ~eps:0. "y period" 1013. r2.(1).Engine.avg_period;
+  (* Roughly 500 extra checkpoints between H and 2H. *)
+  Alcotest.(check bool) "checkpoints between H and 2H" true (r2.(0).Engine.iterations > 900)
 
 (* Contention can only hurt: the simulated shared period of an app is at
    least (up to measurement noise) its isolation period. *)
@@ -168,6 +221,8 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "events emitted" `Quick test_events_emitted;
     Alcotest.test_case "bad firing_time rejected" `Quick test_bad_firing_time_rejected;
+    Alcotest.test_case "bad horizon rejected" `Quick test_bad_horizon_rejected;
     Alcotest.test_case "firing loop allocation budget" `Quick test_firing_loop_allocates_nothing;
+    Alcotest.test_case "checkpoint allocation budget" `Quick test_checkpoints_allocate_nothing;
     prop_contention_monotone;
   ]
