@@ -47,7 +47,8 @@
      CONTENTION_TRACE     write a Chrome/Perfetto trace of the whole run to
                           this file (spans recording is off otherwise)
      CONTENTION_REV       revision label stamped into the --json output
-                          (default "dev")
+                          (default: git rev-parse --short HEAD in a git
+                          checkout, else "dev" with a warning)
      CONTENTION_CLUSTER_SHARDS    ring size for the CLUSTER section (default 4)
      CONTENTION_CLUSTER_RATE      offered load in req/s        (default 6000)
      CONTENTION_CLUSTER_DURATION  open-loop duration seconds   (default 0.5)
@@ -1275,13 +1276,37 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* Trajectory output                                                   *)
 
+(* The revision stamped into the JSON: [CONTENTION_REV] if set, else
+   [git rev-parse --short HEAD] in a git checkout, else "dev" with a
+   warning on stderr. *)
+let revision () =
+  let from_git () =
+    if not (Sys.file_exists ".git") then None
+    else
+      match Unix.open_process_args_in "git" [| "git"; "rev-parse"; "--short"; "HEAD" |] with
+      | exception Unix.Unix_error _ -> None
+      | ic -> (
+          let line = In_channel.input_line ic in
+          match (Unix.close_process_in ic, line) with
+          | Unix.WEXITED 0, Some r -> Some (String.trim r)
+          | _ -> None)
+  in
+  match Sys.getenv_opt "CONTENTION_REV" with
+  | Some r when r <> "" -> r
+  | _ -> (
+      match from_git () with
+      | Some r -> r
+      | None ->
+          prerr_endline
+            "bench: WARNING: revision unknown (no CONTENTION_REV, no git checkout); recorded as \
+             \"dev\"";
+          "dev")
+
 let () =
   (match json_path with
   | None -> ()
   | Some path ->
-      let rev =
-        match Sys.getenv_opt "CONTENTION_REV" with Some r -> r | None -> "dev"
-      in
+      let rev = revision () in
       let doc =
         Serve.Json.Obj
           [

@@ -19,6 +19,11 @@
    order, completions at one instant are drained before any processor
    picks, and idle processors pick in ascending processor order.
 
+   A step scans neither an actor's input channels nor all processors: a
+   per-actor count of input channels short of tokens, kept where tokens
+   change, makes [enabled] two array reads, and a bitset of the processors
+   that are idle with queued work is drained at the end of each instant.
+
    Cycle skipping (see the section below) jumps over whole periods of a
    deterministic run once its state recurs; every result stays
    bit-identical to stepping each firing. *)
@@ -99,6 +104,7 @@ type t = {
   proc_of : int array;
   exec : float array;
   state : int array;
+  short : int array;  (* input channels with fewer tokens than [consume] *)
   in_off : int array;  (* CSR: input channels of actor [g] are *)
   in_ch : int array;  (*   [in_ch.(in_off.(g) .. in_off.(g + 1) - 1)] *)
   out_off : int array;  (* CSR of output channels, ascending channel id *)
@@ -117,6 +123,10 @@ type t = {
   head : int array;
   waiting : int array;  (* queued actors per processor *)
   serving : int array;  (* running actor per processor, -1 when idle *)
+  ready : int array;
+      (* Bitset of processors to dispatch at the end of the instant, [bits]
+         per word: set when an idle processor gets a queued actor or a
+         processor with queued work goes idle. *)
   proc_busy : float array;
   (* Static order: processor [p] cycles through
      [so.(so_off.(p) .. so_off.(p + 1) - 1)], next at [so_pos.(p)]. *)
@@ -147,14 +157,17 @@ type t = {
   mutable cycle : cycle option;
 }
 
+(* Ready-set bits per word: 62 keeps every word non-negative. *)
+let bits = 62
+
 (* ------------------------------------------------------------------ *)
 (* Completion heap *)
 
-let before s i j =
+let[@inline] before s i j =
   let ti = s.ht.(i) and tj = s.ht.(j) in
   ti < tj || (ti = tj && s.hs.(i) < s.hs.(j))
 
-let swap s i j =
+let[@inline] swap s i j =
   let t = s.ht.(i) in
   s.ht.(i) <- s.ht.(j);
   s.ht.(j) <- t;
@@ -204,18 +217,13 @@ let heap_drop_top s =
 (* ------------------------------------------------------------------ *)
 (* Dataflow and arbitration *)
 
-let enabled s g =
-  s.state.(g) = idle
-  &&
-  let ok = ref true and k = ref s.in_off.(g) in
-  while !ok && !k < s.in_off.(g + 1) do
-    let c = s.in_ch.(!k) in
-    if s.tokens.(c) < s.consume.(c) then ok := false;
-    incr k
-  done;
-  !ok
+let[@inline] enabled s g = s.state.(g) = idle && s.short.(g) = 0
 
-let enqueue s g =
+let[@inline] mark_ready s p =
+  let w = p / bits in
+  s.ready.(w) <- s.ready.(w) lor (1 lsl (p - (w * bits)))
+
+let[@inline] enqueue s g =
   let p = s.proc_of.(g) in
   s.state.(g) <- queued;
   (match s.arbitration with
@@ -224,12 +232,15 @@ let enqueue s g =
       let cap = s.pa_off.(p + 1) - base in
       s.ring.(base + ((s.head.(p) + s.waiting.(p)) mod cap)) <- g
   | Fixed_priority | Static_order _ -> ());
-  s.waiting.(p) <- s.waiting.(p) + 1
+  s.waiting.(p) <- s.waiting.(p) + 1;
+  (* Even when [p] already had queued work: under a static order it may be
+     idle waiting for exactly this actor. *)
+  if s.serving.(p) < 0 then mark_ready s p
 
 (* The queued actor processor [p] serves next, or -1: the FCFS ring's head,
    the lowest queued id (= lowest (app, actor) pair), or the static order's
    next entry if it is queued. *)
-let take_next s p =
+let[@inline] take_next s p =
   if s.waiting.(p) = 0 then -1
   else
     match s.arbitration with
@@ -260,9 +271,12 @@ let start_service s p =
   let g = take_next s p in
   if g >= 0 then begin
     s.waiting.(p) <- s.waiting.(p) - 1;
+    (* [g] was enabled, so no input was short before this consumption. *)
     for k = s.in_off.(g) to s.in_off.(g + 1) - 1 do
       let c = s.in_ch.(k) in
-      s.tokens.(c) <- s.tokens.(c) - s.consume.(c)
+      let t = s.tokens.(c) - s.consume.(c) in
+      s.tokens.(c) <- t;
+      if t < s.consume.(c) then s.short.(g) <- s.short.(g) + 1
     done;
     s.state.(g) <- running;
     s.serving.(p) <- g;
@@ -289,7 +303,7 @@ let start_service s p =
 
 (* Actor 0 of app [a] completed an iteration at [f.(r_now)]; the first
    [warmup] iterations only set the reference point. *)
-let record_iteration s a =
+let[@inline] record_iteration s a =
   s.iterations.(a) <- s.iterations.(a) + 1;
   let time = s.f.(r_now) in
   if s.iterations.(a) > s.warmup then begin
@@ -309,10 +323,18 @@ let record_iteration s a =
 let finish s g =
   let p = s.proc_of.(g) in
   s.serving.(p) <- -1;
+  if s.waiting.(p) > 0 then mark_ready s p;
   s.state.(g) <- idle;
+  (* A production can only lift a channel from short to sufficient. *)
   for k = s.out_off.(g) to s.out_off.(g + 1) - 1 do
     let c = s.out_ch.(k) in
-    s.tokens.(c) <- s.tokens.(c) + s.produce.(c)
+    let t = s.tokens.(c) in
+    let t' = t + s.produce.(c) in
+    s.tokens.(c) <- t';
+    if t < s.consume.(c) && t' >= s.consume.(c) then begin
+      let d = s.ch_dst.(c) in
+      s.short.(d) <- s.short.(d) - 1
+    end
   done;
   let a = s.app_of.(g) in
   if g = s.app_off.(a) then begin
@@ -327,6 +349,22 @@ let finish s g =
   for k = s.out_off.(g) to s.out_off.(g + 1) - 1 do
     let d = s.ch_dst.(s.out_ch.(k)) in
     if enabled s d then enqueue s d
+  done
+
+(* End of an instant: the processors in the ready set pick their next
+   firing, in ascending order. *)
+let dispatch s =
+  for w = 0 to Array.length s.ready - 1 do
+    let set = ref s.ready.(w) in
+    if !set <> 0 then begin
+      s.ready.(w) <- 0;
+      let p = ref (w * bits) in
+      while !set <> 0 do
+        if !set land 1 <> 0 then start_service s !p;
+        set := !set lsr 1;
+        incr p
+      done
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -345,6 +383,9 @@ let finish s g =
      the first gap after a recurrence equals the first gap after the
      state's earlier visit;
    - the static-order positions.
+   The short-of-tokens counts need no entry, since they are a function of
+   the token counts, and neither does the ready set, which is empty at the
+   end of every instant.
    The heap's order among equal due times needs no entry: a firing's
    duration is its actor's execution time, so of two completions due
    together the longer firing started first, and equal firings started in
@@ -639,6 +680,10 @@ let make ~warmup ~on_event ~firing_time ~arbitration ~procs apps =
           tokens.(k) <- c.tokens)
         app.graph.channels)
     apps;
+  let short = Array.make nactors 0 in
+  for c = 0 to nchannels - 1 do
+    if tokens.(c) < consume.(c) then short.(ch_dst.(c)) <- short.(ch_dst.(c)) + 1
+  done;
   let in_off, in_ch = csr ~buckets:nactors ch_dst in
   let out_off, out_ch = csr ~buckets:nactors ch_src in
   let pa_off, pa = csr ~buckets:procs proc_of in
@@ -661,6 +706,7 @@ let make ~warmup ~on_event ~firing_time ~arbitration ~procs apps =
     proc_of;
     exec;
     state = Array.make nactors idle;
+    short;
     in_off;
     in_ch;
     out_off;
@@ -675,6 +721,7 @@ let make ~warmup ~on_event ~firing_time ~arbitration ~procs apps =
     head = Array.make procs 0;
     waiting = Array.make procs 0;
     serving = Array.make procs (-1);
+    ready = Array.make ((procs + bits - 1) / bits) 0;
     proc_busy = Array.make procs 0.;
     so_off;
     so;
@@ -742,9 +789,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
   for g = 0 to Array.length s.state - 1 do
     if enabled s g then enqueue s g
   done;
-  for p = 0 to procs - 1 do
-    start_service s p
-  done;
+  dispatch s;
   let live = ref true in
   while !live && s.hsize > 0 do
     let time = s.ht.(0) and g = s.hg.(0) in
@@ -764,10 +809,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ?firing_time
         heap_drop_top s;
         finish s g
       done;
-      (* Idle processors with waiting work pick their next firing. *)
-      for p = 0 to procs - 1 do
-        if s.serving.(p) < 0 && s.waiting.(p) > 0 then start_service s p
-      done;
+      dispatch s;
       if s.iterations.(0) <> iterations0 then checkpoint s ~limit
     end
   done;

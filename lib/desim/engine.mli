@@ -18,10 +18,17 @@
     the actors of all applications globally ([(app, actor)] pairs in
     ascending order) and the channels likewise; input and output channel
     lists are CSR slices of flat int arrays, token counts are an int array,
-    and times and busy totals live in float arrays.  Each processor has a
-    ring-buffer ready queue sized by the actors mapped to it.  Completions
-    wait in a binary heap over parallel float/int arrays, keyed by
-    [(time, insertion sequence)]; it needs one slot per processor.
+    and times and busy totals live in float arrays.  Each actor keeps a
+    count of its input channels short of tokens (holding fewer than their
+    consumption rate), updated where tokens change: consumption when a
+    firing starts, production when one finishes.  An actor is enabled when
+    it is idle and that count is zero, two array reads.  Each processor has
+    a ring-buffer ready queue sized by the actors mapped to it.  The
+    processors to dispatch at the end of an instant form a ready set, a
+    bitset over [(procs + 61) / 62] int words: a processor's bit is set when
+    it is idle and gets a queued actor, or goes idle with queued work.
+    Completions wait in a binary heap over parallel float/int arrays, keyed
+    by [(time, insertion sequence)]; it needs one slot per processor.
 
     {b Event order.}  Runs are deterministic, and four tie-breaks fix the
     order of everything that happens at one instant:
@@ -32,7 +39,10 @@
     - a completion queues the finished actor first, then the consumers of
       its output channels in channel order; under {!Fcfs} the ring serves
       in that arrival order;
-    - idle processors pick in ascending processor order.
+    - idle processors pick in ascending processor order: the ready set is
+      drained from its lowest bit up.  A processor that cannot start (its
+      static-order entry is not queued) leaves the set until an actor is
+      queued on it.
 
     {b Allocation.}  Set-up allocates O(actors + channels + processors) per
     run.  With [on_event] and [firing_time] absent, the firing loop
@@ -48,9 +58,11 @@
     looks up its canonical state: token counts; per actor whether it is
     idle, queued (with its place in an FCFS ring) or running (with its
     remaining time); each app's [fires0 mod q0] and time since its last
-    iteration; and the static-order positions.  On the first exact
-    recurrence it adds every whole cycle that fits before the horizon, then
-    steps the rest.  Every result and statistic is
+    iteration; and the static-order positions.  The short-of-tokens counts
+    need no word, being a function of the token counts, and neither does
+    the ready set, which is empty at the end of every instant.  On the
+    first exact recurrence it adds every whole cycle that fits before the
+    horizon, then steps the rest.  Every result and statistic is
     bit-identical to stepping each firing: all times and busy sums are exact
     float integers.  The states live in a per-domain store of fixed capacity
     (every other state is dropped and the sampling stride doubled when it

@@ -160,7 +160,8 @@ let sdfgen_apps s =
 
 let prop_sdfgen_workloads =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"sdfgen workloads bit-identical" ~print:print_spec spec_gen
+    (QCheck2.Test.make ~count:60 ~long_factor:10 ~name:"sdfgen workloads bit-identical"
+       ~print:print_spec spec_gen
        (fun s ->
          check_all ~what:(print_spec s) ~seed:s.seed ~horizon:3000. ~warmup_iterations:s.warmup
            ~procs:s.procs (sdfgen_apps s);
@@ -377,9 +378,92 @@ let test_paper_usecases () =
   (* Use-cases of up to six apps recur within 500k; 14 of these 19 skip today. *)
   if !skipped < 12 then Alcotest.failf "only %d of %d paper use-cases skipped cycles" !skipped !runs
 
+(* ------------------------------------------------------------------ *)
+(* Ready-set dispatch and short-of-tokens counts *)
+
+(* Over 130 processors the ready set spans three words; app 0's actor 0 is
+   moved to the last processor so the third word is always in use. *)
+let wide_spec_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let* napps = int_range 30 40 in
+  let* warmup = int_range 0 3 in
+  return { seed; napps; procs = 130; warmup }
+
+let wide_apps s =
+  let apps = sdfgen_apps s in
+  apps.(0).mapping.(0) <- s.procs - 1;
+  apps
+
+let prop_wide_workloads =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3 ~long_factor:10 ~name:"130 processors bit-identical"
+       ~print:print_spec wide_spec_gen (fun s ->
+         check_all ~what:(print_spec s) ~seed:s.seed ~horizon:3000. ~warmup_iterations:s.warmup
+           ~procs:s.procs (wide_apps s);
+         true))
+
+let test_static_order_waits_for_entry () =
+  (* Processor 0 serves y, then x.  x is queued at boot but y is not, so
+     processor 0 idles with queued work until y's producer on processor 1
+     finishes at 5 and y is enqueued: that enqueue must dispatch processor
+     0 although it already had work queued.  When y finishes at 6,
+     processor 0 goes idle with x queued, and x starts at 6. *)
+  let x =
+    Sdf.Graph.create ~name:"x" ~actors:[| ("x", 2.) |] ~channels:[| (0, 0, 1, 1, 1) |]
+  in
+  let y =
+    Sdf.Graph.create ~name:"y"
+      ~actors:[| ("ysrc", 5.); ("y", 1.) |]
+      ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 1) |]
+  in
+  let apps =
+    [| { Engine.graph = x; mapping = [| 0 |] }; { Engine.graph = y; mapping = [| 1; 0 |] } |]
+  in
+  let arbitration = Engine.Static_order [| [| (1, 1); (0, 0) |]; [| (1, 0) |] |] in
+  (match compare_engines ~arbitration ~horizon:200. ~warmup_iterations:2 ~procs:2 apps with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "engines differ in %s" e);
+  let starts = ref [] in
+  let results, _ =
+    Engine.run ~arbitration ~horizon:200. ~warmup_iterations:2 ~procs:2
+      ~on_event:(function
+        | Engine.Start { time; app = 0; _ } -> starts := time :: !starts
+        | Engine.Start _ | Engine.Finish _ -> ())
+      apps
+  in
+  (match List.rev !starts with
+  | first :: _ -> Fixtures.check_float ~eps:0. "x first starts at 6" 6. first
+  | [] -> Alcotest.fail "x never starts");
+  Fixtures.check_float ~eps:0. "x period" 6. results.(0).Engine.avg_period;
+  Fixtures.check_float ~eps:0. "y period" 6. results.(1).Engine.avg_period
+
+let test_multirate_token_counts () =
+  (* a (rate 2) feeds b (rate 3), and b (rate 3) feeds a back (rate 2):
+     channels reach exactly their consumption rate (a's output at 3, b's at
+     2), which is where an off-by-one in the short-of-tokens counts shows.
+     Self-timed, an iteration (three firings of a, two of b) takes 5. *)
+  let g =
+    Sdf.Graph.create ~name:"mr"
+      ~actors:[| ("a", 1.); ("b", 2.) |]
+      ~channels:[| (0, 1, 2, 3, 0); (1, 0, 3, 2, 6) |]
+  in
+  let apps = [| { Engine.graph = g; mapping = [| 0; 1 |] } |] in
+  check_all ~what:"multi-rate pair" ~seed:7 ~horizon:400. ~warmup_iterations:2 ~procs:2 apps;
+  let results, _ = Engine.run ~horizon:400. ~warmup_iterations:2 ~procs:2 apps in
+  Fixtures.check_float ~eps:0. "period" 5. results.(0).Engine.avg_period;
+  (* The same pair beside a contending app on processor 1. *)
+  let other = { Engine.graph = Fixtures.pipeline ~tau0:2. ~tau1:3. (); mapping = [| 1; 1 |] } in
+  check_all ~what:"multi-rate pair with contention" ~seed:8 ~horizon:400. ~warmup_iterations:2
+    ~procs:2 [| apps.(0); other |]
+
 let suite =
   [
     prop_sdfgen_workloads;
+    prop_wide_workloads;
+    Alcotest.test_case "static order waits for its next entry" `Quick
+      test_static_order_waits_for_entry;
+    Alcotest.test_case "multi-rate token counts" `Quick test_multirate_token_counts;
     Alcotest.test_case "corpus cases bit-identical" `Quick test_corpus;
     Alcotest.test_case "golden workload bit-identical" `Quick test_golden_workload;
     Alcotest.test_case "long horizons skip cycles exactly" `Quick test_long_horizon_population;

@@ -106,6 +106,29 @@ let test_csv () =
   | header :: _ -> Alcotest.(check string) "header" "app,actor,proc,start,finish" header
   | [] -> Alcotest.fail "empty csv"
 
+let test_short_runs_record () =
+  (* A pipeline traced for 40 time units records firings; so does a run of
+     30 self-looped apps sharing one processor, one record per firing. *)
+  let g = Fixtures.pipeline () in
+  let trace, _, _ =
+    traced_run [| { Engine.graph = g; mapping = [| 0; 1 |] } |] ~procs:2 ~horizon:40.
+  in
+  Alcotest.(check bool) "pipeline records" true (Trace.num_records trace > 0);
+  let apps =
+    Array.init 30 (fun i ->
+        {
+          Engine.graph =
+            Sdf.Graph.create ~name:(Printf.sprintf "g%d" i)
+              ~actors:[| (Printf.sprintf "s%d" i, 1.) |]
+              ~channels:[| (0, 0, 1, 1, 1) |];
+          mapping = [| 0 |];
+        })
+  in
+  let trace, _, stats = traced_run apps ~procs:1 ~horizon:10. in
+  Alcotest.(check bool) "shared processor records" true (Trace.num_records trace > 0);
+  Alcotest.(check int) "one record per firing" stats.Engine.total_firings
+    (Trace.num_records trace)
+
 let suite =
   [
     Alcotest.test_case "records pair up" `Quick test_records_pair_up;
@@ -114,4 +137,5 @@ let suite =
     Alcotest.test_case "proc timeline no overlap" `Quick test_proc_timeline_no_overlap;
     Alcotest.test_case "observed waiting" `Quick test_waiting_observed_under_contention;
     Alcotest.test_case "csv" `Quick test_csv;
+    Alcotest.test_case "short runs record firings" `Quick test_short_runs_record;
   ]
