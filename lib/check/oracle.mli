@@ -97,7 +97,7 @@ val kernel_agreement :
   violation list
 (** Differential check of the zero-allocation kernel engine
     ({!Contention.Analysis.estimate_prepared}) against the list-based
-    reference ({!Contention.Analysis.estimate_prepared_reference}) on one
+    reference ({!Reference.estimate_prepared}) on one
     use-case, for every estimator: waits, response times, and periods must
     agree to 1e-9, and the batched entry point
     ({!Contention.Analysis.estimate_batch}) must reproduce the

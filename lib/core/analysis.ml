@@ -10,8 +10,6 @@ let estimator_name = function
 
 let all_paper_estimators = [ Worst_case; Order 4; Order 2; Composability ]
 
-type period_engine = Mcm | Statespace
-
 type app = {
   graph : Sdf.Graph.t;
   mapping : Mapping.t;
@@ -73,16 +71,8 @@ let adjusted_graph e = Sdf.Graph.with_exec_times e.for_app.graph e.response_time
 
 let contended_metrics e = Sdf.Metrics.analyse (adjusted_graph e)
 
-let waiting_time_for est others =
-  match est with
-  | Worst_case -> Wcrt.waiting_time others
-  | Order m -> Approx.waiting_time ~order:m others
-  | Composability -> Compose.waiting_time others
-  | Exact -> Exact.waiting_time others
-
 type cache = {
   cached_loads : Prob.t array;
-  expansion : Sdf.Hsdf.t;
   cached_exec : float array;  (* per-actor execution times, flat *)
   mcr : Kernel.graph;  (* the expansion flattened for the kernel engine *)
 }
@@ -111,130 +101,32 @@ let prepare a =
       in
       {
         cached_loads;
-        expansion;
         cached_exec = Sdf.Graph.exec_times a.graph;
         mcr = flatten_expansion expansion;
       })
 
 let kernel_graph g = flatten_expansion (Sdf.Hsdf.expand g)
 
-(* Period of [a] with response times as execution times.  A cached HSDF
-   expansion short-circuits the expensive part of the MCM engine: the
-   expansion topology is execution-time-invariant, only the node weights
-   change between passes. *)
-let compute_period engine expansion (a : app) response_times =
-  match (engine, expansion) with
-  | Mcm, Some h -> Sdf.Hsdf.period_of_expansion h ~exec_times:response_times
-  | Mcm, None -> Sdf.Hsdf.period (Sdf.Graph.with_exec_times a.graph response_times)
-  | Statespace, _ ->
-      Sdf.Statespace.period_exn (Sdf.Graph.with_exec_times a.graph response_times)
-
-(* One pass of the Figure 4 algorithm given per-app loads. *)
-let one_pass engine est (apps : app array) (app_loads : Prob.t array array)
-    (expansions : Sdf.Hsdf.t option array) =
-  (* Node occupancy: which (app, actor) pairs share each processor. *)
-  let by_node = Hashtbl.create 16 in
-  Array.iteri
-    (fun ai a ->
-      Array.iteri
-        (fun actor proc ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt by_node proc) in
-          Hashtbl.replace by_node proc ((ai, actor) :: existing))
-        a.mapping)
-    apps;
-  let span_args a () = [ ("app", a.graph.Sdf.Graph.name); ("estimator", estimator_name est) ] in
-  let estimate_one ai a =
-    let n = Sdf.Graph.num_actors a.graph in
-    (* Eq. 4/5/6: blocking probabilities folded into per-actor waits. *)
-    let waiting_times =
-      Obs.Span.with_ ~name:"analysis.waiting" ~args:(span_args a) (fun () ->
-          Array.init n (fun actor ->
-              let proc = a.mapping.(actor) in
-              let on_node = Option.value ~default:[] (Hashtbl.find_opt by_node proc) in
-              let others =
-                List.filter_map
-                  (fun (aj, actor_j) ->
-                    if aj = ai && actor_j = actor then None
-                    else Some app_loads.(aj).(actor_j))
-                  on_node
-              in
-              waiting_time_for est others))
-    in
-    let response_times =
-      Array.init n (fun actor ->
-          (Sdf.Graph.actor a.graph actor).exec_time +. waiting_times.(actor))
-    in
-    let period =
-      Obs.Span.with_ ~name:"analysis.period" ~args:(span_args a) (fun () ->
-          compute_period engine expansions.(ai) a response_times)
-    in
-    { for_app = a; waiting_times; response_times; period }
-  in
-  Array.mapi estimate_one apps
-
-let expansions_for engine apps =
-  match engine with
-  | Mcm -> Array.map (fun (a : app) -> Some (Sdf.Hsdf.expand a.graph)) apps
-  | Statespace -> Array.map (fun _ -> None) apps
-
 let estimate_args est n () =
   [ ("estimator", estimator_name est); ("apps", string_of_int n) ]
 
-let estimate ?(engine = Mcm) ?(iterations = 1) est apps =
-  if iterations < 1 then invalid_arg "Contention.Analysis.estimate: iterations < 1";
-  match apps with
-  | [] -> []
-  | apps ->
-      Obs.Span.with_ ~name:"analysis.estimate"
-        ~args:(estimate_args est (List.length apps))
-        (fun () ->
-          let apps = Array.of_list apps in
-          let expansions = expansions_for engine apps in
-          let rec refine pass loads_now =
-            let results = one_pass engine est apps loads_now expansions in
-            if pass >= iterations then results
-            else
-              (* Fixed-point refinement: blocking probabilities from the newly
-                 estimated periods (execution times stay the original tau). *)
-              let next =
-                Array.mapi (fun ai a -> loads_with_period a results.(ai).period) apps
-              in
-              refine (pass + 1) next
-          in
-          Array.to_list (refine 1 (Array.map loads apps)))
-
-let estimate_prepared_reference ?(engine = Mcm) est pairs =
-  match pairs with
-  | [] -> []
-  | pairs ->
-      Obs.Span.with_ ~name:"analysis.estimate"
-        ~args:(estimate_args est (List.length pairs))
-        (fun () ->
-          let apps = Array.of_list (List.map fst pairs) in
-          let caches = Array.of_list (List.map snd pairs) in
-          Array.iteri
-            (fun i (a : app) ->
-              if Array.length caches.(i).cached_loads <> Sdf.Graph.num_actors a.graph then
-                invalid_arg "Contention.Analysis.estimate_prepared: cache/app mismatch")
-            apps;
-          let loads = Array.map (fun c -> c.cached_loads) caches in
-          let expansions =
-            match engine with
-            | Mcm -> Array.map (fun c -> Some c.expansion) caches
-            | Statespace -> Array.map (fun _ -> None) caches
-          in
-          Array.to_list (one_pass engine est apps loads expansions))
-
 (* ------------------------------------------------------------------ *)
-(* Kernel engine: the Figure-4 pass over preallocated flat arrays.
+(* The Figure-4 pass over preallocated flat arrays.
 
-   The reference path above allocates per use-case (occupancy Hashtbl,
-   contender lists, per-probe shifted-edge arrays in {!Sdf.Mcm}); the kernel
-   path lays the use-case's actors out as contiguous per-processor member
-   slots in a reusable {!workspace} and evaluates the {!Kernel} estimators
-   over them.  Results are bit-identical to the reference — {!Kernel}
-   replicates the floating-point operation sequences — which [exact_check]
-   and the fuzzing oracle verify. *)
+   The use-case's actors are laid out as contiguous per-processor member
+   slots in a reusable {!workspace} and the {!Kernel} estimators evaluate
+   over them.  The list-based reference pass in lib/check ([Check.Reference])
+   folds the same floating-point operation sequences; the test suite and the
+   fuzzing oracle hold the two bit for bit. *)
+
+let waits_into ker est ~p ~mu ~tau ~off ~n ~out =
+  match est with
+  | Worst_case -> Kernel.wc_into ~tau ~off ~n ~out
+  | Order m ->
+      if m < 2 then invalid_arg "Contention.Analysis: order < 2";
+      Kernel.order_into ker ~order:m ~p ~mu ~off ~n ~out
+  | Composability -> Kernel.comp_into ker ~p ~mu ~off ~n ~out
+  | Exact -> Kernel.exact_into ker ~p ~mu ~off ~n ~out
 
 type workspace = {
   ker : Kernel.scratch;
@@ -283,13 +175,14 @@ let workspace_key = Domain.DLS.new_key workspace
 let shared_workspace () = Domain.DLS.get workspace_key
 
 (* One Figure-4 pass on the kernel engine.  [active] lists the indices of the
-   use-case's applications into [apps]/[caches] in ascending order (the order
-   the reference receives its pairs in); the period of [active.(k)] is
+   use-case's applications into [apps]/[caches]/[loads] in ascending order
+   (the order the reference receives its pairs in); the period of [active.(k)] is
    written to [out.(k)], the per-actor waits stay in [ws.g_wait] addressed
    through [ws.slot]/[ws.app_off].  Allocation-free once [ws] has grown to
    the workload's high-water mark. *)
 let kernel_pass ws est (apps : app array) (caches : cache array)
-    (active : int array) nactive ~(out : float array) =
+    (loads : Prob.t array array) (active : int array) nactive
+    ~(out : float array) =
   (* Member layout: one slot per (active app, actor). *)
   ws.app_off <- grow_i ws.app_off nactive;
   ws.r.(0) <- 0;
@@ -352,7 +245,7 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
   for k = nactive - 1 downto 0 do
     let ai = active.(k) in
     let a = apps.(ai) in
-    let loads = caches.(ai).cached_loads in
+    let loads = loads.(ai) in
     for actor = Array.length a.mapping - 1 downto 0 do
       let g = ws.group_of_proc.(a.mapping.(actor)) in
       let s = ws.gstart.(g) + ws.gfill.(g) in
@@ -370,28 +263,10 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
     if ws.gcount.(g) > ws.r.(5) then ws.r.(5) <- ws.gcount.(g)
   done;
   Kernel.reserve_group ws.ker ws.r.(5);
-  (match est with
-  | Worst_case ->
-      for g = 0 to ngroups - 1 do
-        Kernel.wc_into ~tau:ws.g_tau ~off:ws.gstart.(g) ~n:ws.gcount.(g)
-          ~out:ws.g_wait
-      done
-  | Order m ->
-      if m < 2 then invalid_arg "Contention.Approx.waiting_time: order < 2";
-      for g = 0 to ngroups - 1 do
-        Kernel.order_into ws.ker ~order:m ~p:ws.g_p ~mu:ws.g_mu
-          ~off:ws.gstart.(g) ~n:ws.gcount.(g) ~out:ws.g_wait
-      done
-  | Composability ->
-      for g = 0 to ngroups - 1 do
-        Kernel.comp_into ws.ker ~p:ws.g_p ~mu:ws.g_mu ~off:ws.gstart.(g)
-          ~n:ws.gcount.(g) ~out:ws.g_wait
-      done
-  | Exact ->
-      for g = 0 to ngroups - 1 do
-        Kernel.exact_into ws.ker ~p:ws.g_p ~mu:ws.g_mu ~off:ws.gstart.(g)
-          ~n:ws.gcount.(g) ~out:ws.g_wait
-      done);
+  for g = 0 to ngroups - 1 do
+    waits_into ws.ker est ~p:ws.g_p ~mu:ws.g_mu ~tau:ws.g_tau ~off:ws.gstart.(g)
+      ~n:ws.gcount.(g) ~out:ws.g_wait
+  done;
   (* Response times and periods per application. *)
   for k = 0 to nactive - 1 do
     let c = caches.(active.(k)) in
@@ -407,88 +282,75 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
    {!estimate_periods_into}). *)
 let collect_results ws (apps : app array) (caches : cache array)
     (active : int array) nactive =
-  Array.to_list
-    (Array.init nactive (fun k ->
-         let ai = active.(k) in
-         let a = apps.(ai) in
-         let n = Sdf.Graph.num_actors a.graph in
-         let waiting_times =
-           Array.init n (fun actor ->
-               ws.g_wait.(ws.slot.(ws.app_off.(k) + actor)))
-         in
-         let response_times =
-           Array.init n (fun actor ->
-               caches.(ai).cached_exec.(actor) +. waiting_times.(actor))
-         in
-         { for_app = a; waiting_times; response_times; period = ws.periods.(k) }))
-
-let exact_check_tolerance = 1e-9
-
-let check_against_reference est pairs results =
-  let refs = estimate_prepared_reference est pairs in
-  List.iter2
-    (fun (k : estimate) (r : estimate) ->
-      let diverged = ref "" in
-      let chk what a b =
-        if
-          !diverged = ""
-          && (not (Float.is_nan a && Float.is_nan b))
-          && not (Float.abs (a -. b) <= exact_check_tolerance)
-        then diverged := Printf.sprintf "%s (%.17g vs %.17g)" what a b
+  Array.init nactive (fun k ->
+      let ai = active.(k) in
+      let a = apps.(ai) in
+      let n = Sdf.Graph.num_actors a.graph in
+      let waiting_times =
+        Array.init n (fun actor -> ws.g_wait.(ws.slot.(ws.app_off.(k) + actor)))
       in
-      chk "period" k.period r.period;
-      Array.iteri
-        (fun i w -> chk (Printf.sprintf "waiting_times.(%d)" i) w r.waiting_times.(i))
-        k.waiting_times;
-      Array.iteri
-        (fun i w ->
-          chk (Printf.sprintf "response_times.(%d)" i) w r.response_times.(i))
-        k.response_times;
-      if !diverged <> "" then
-        failwith
-          (Printf.sprintf
-             "Contention.Analysis: kernel/reference divergence on app %S, \
-              estimator %s: %s"
-             k.for_app.graph.Sdf.Graph.name (estimator_name est) !diverged))
-    results refs
+      let response_times =
+        Array.init n (fun actor ->
+            caches.(ai).cached_exec.(actor) +. waiting_times.(actor))
+      in
+      { for_app = a; waiting_times; response_times; period = ws.periods.(k) })
 
-let estimate_prepared ?(engine = Mcm) ?workspace:ws ?(exact_check = false) est
-    pairs =
+(* One pass over every app of [apps] (all active) with the given loads. *)
+let run_pass ws est apps caches loads =
+  let nactive = Array.length apps in
+  let active = Array.init nactive Fun.id in
+  ws.periods <- grow_f ws.periods nactive;
+  kernel_pass ws est apps caches loads active nactive ~out:ws.periods;
+  collect_results ws apps caches active nactive
+
+let check_cache fn (a : app) c =
+  if Array.length c.cached_loads <> Sdf.Graph.num_actors a.graph then
+    invalid_arg (Printf.sprintf "Contention.Analysis.%s: cache/app mismatch" fn)
+
+let estimate_prepared ?workspace:ws est pairs =
   match pairs with
   | [] -> []
-  | pairs -> (
-      match engine with
-      | Statespace ->
-          (* The kernel only implements the MCM period engine. *)
-          estimate_prepared_reference ~engine est pairs
-      | Mcm ->
-          Obs.Span.with_ ~name:"analysis.estimate"
-            ~args:(estimate_args est (List.length pairs))
-            (fun () ->
-              let apps = Array.of_list (List.map fst pairs) in
-              let caches = Array.of_list (List.map snd pairs) in
-              Array.iteri
-                (fun i (a : app) ->
-                  if
-                    Array.length caches.(i).cached_loads
-                    <> Sdf.Graph.num_actors a.graph
-                  then
-                    invalid_arg
-                      "Contention.Analysis.estimate_prepared: cache/app mismatch")
-                apps;
-              let ws = match ws with Some w -> w | None -> shared_workspace () in
-              let nactive = Array.length apps in
-              let active = Array.init nactive Fun.id in
-              ws.periods <- grow_f ws.periods nactive;
-              kernel_pass ws est apps caches active nactive ~out:ws.periods;
-              let results = collect_results ws apps caches active nactive in
-              if exact_check then check_against_reference est pairs results;
-              results))
+  | pairs ->
+      Obs.Span.with_ ~name:"analysis.estimate"
+        ~args:(estimate_args est (List.length pairs))
+        (fun () ->
+          let apps = Array.of_list (List.map fst pairs) in
+          let caches = Array.of_list (List.map snd pairs) in
+          Array.iteri (fun i a -> check_cache "estimate_prepared" a caches.(i)) apps;
+          let ws = match ws with Some w -> w | None -> shared_workspace () in
+          let loads = Array.map (fun c -> c.cached_loads) caches in
+          Array.to_list (run_pass ws est apps caches loads))
+
+let estimate ?(iterations = 1) est apps =
+  if iterations < 1 then invalid_arg "Contention.Analysis.estimate: iterations < 1";
+  match apps with
+  | [] -> []
+  | apps ->
+      Obs.Span.with_ ~name:"analysis.estimate"
+        ~args:(estimate_args est (List.length apps))
+        (fun () ->
+          let apps = Array.of_list apps in
+          let caches = Array.map prepare apps in
+          let ws = shared_workspace () in
+          let rec refine pass loads_now =
+            let results = run_pass ws est apps caches loads_now in
+            if pass >= iterations then results
+            else
+              (* Fixed-point refinement: blocking probabilities from the newly
+                 estimated periods (execution times stay the original tau). *)
+              refine (pass + 1)
+                (Array.mapi (fun ai a -> loads_with_period a results.(ai).period) apps)
+          in
+          Array.to_list (refine 1 (Array.map (fun c -> c.cached_loads) caches)))
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation: many use-cases of one prepared workload. *)
 
-type prepared = { papps : app array; pcaches : cache array }
+type prepared = {
+  papps : app array;
+  pcaches : cache array;
+  ploads : Prob.t array array;  (* the caches' loads, for [kernel_pass] *)
+}
 
 let prepare_workload ?caches apps =
   let caches =
@@ -496,12 +358,12 @@ let prepare_workload ?caches apps =
   in
   if Array.length caches <> Array.length apps then
     invalid_arg "Contention.Analysis.prepare_workload: one cache per app";
-  Array.iteri
-    (fun i (a : app) ->
-      if Array.length caches.(i).cached_loads <> Sdf.Graph.num_actors a.graph then
-        invalid_arg "Contention.Analysis.prepare_workload: cache/app mismatch")
-    apps;
-  { papps = Array.copy apps; pcaches = Array.copy caches }
+  Array.iteri (fun i a -> check_cache "prepare_workload" a caches.(i)) apps;
+  {
+    papps = Array.copy apps;
+    pcaches = Array.copy caches;
+    ploads = Array.map (fun c -> c.cached_loads) caches;
+  }
 
 let estimate_periods_into ws est (p : prepared) ~usecase ~out =
   ws.active <- grow_i ws.active (Array.length p.papps);
@@ -514,40 +376,22 @@ let estimate_periods_into ws est (p : prepared) ~usecase ~out =
   done;
   let nactive = ws.r.(6) in
   if nactive > 0 then
-    kernel_pass ws est p.papps p.pcaches ws.active nactive ~out;
+    kernel_pass ws est p.papps p.pcaches p.ploads ws.active nactive ~out;
   nactive
 
-let pairs_of p usecase =
-  List.map (fun ai -> (p.papps.(ai), p.pcaches.(ai))) (Usecase.to_list usecase)
+let estimate_batch ?workspace:ws est p usecases =
+  let ws = match ws with Some w -> w | None -> shared_workspace () in
+  List.map
+    (fun usecase ->
+      Obs.Span.with_ ~name:"analysis.estimate"
+        ~args:(estimate_args est (Usecase.cardinal usecase))
+        (fun () ->
+          ws.periods <- grow_f ws.periods (Array.length p.papps);
+          let nactive = estimate_periods_into ws est p ~usecase ~out:ws.periods in
+          Array.to_list (collect_results ws p.papps p.pcaches ws.active nactive)))
+    usecases
 
-let estimate_batch ?(engine = Mcm) ?workspace:ws ?(exact_check = false) est p
-    usecases =
-  match engine with
-  | Statespace ->
-      List.map
-        (fun usecase ->
-          estimate_prepared_reference ~engine est (pairs_of p usecase))
-        usecases
-  | Mcm ->
-      let ws = match ws with Some w -> w | None -> shared_workspace () in
-      List.map
-        (fun usecase ->
-          Obs.Span.with_ ~name:"analysis.estimate"
-            ~args:(estimate_args est (Usecase.cardinal usecase))
-            (fun () ->
-              ws.periods <- grow_f ws.periods (Array.length p.papps);
-              let nactive =
-                estimate_periods_into ws est p ~usecase ~out:ws.periods
-              in
-              let results =
-                collect_results ws p.papps p.pcaches ws.active nactive
-              in
-              if exact_check then
-                check_against_reference est (pairs_of p usecase) results;
-              results))
-        usecases
-
-let estimate_with_loads ?(engine = Mcm) est pairs =
+let estimate_with_loads est pairs =
   match pairs with
   | [] -> []
   | pairs ->
@@ -561,10 +405,14 @@ let estimate_with_loads ?(engine = Mcm) est pairs =
                loads)
              pairs)
       in
-      Array.to_list (one_pass engine est apps loads (expansions_for engine apps))
+      Obs.Span.with_ ~name:"analysis.estimate"
+        ~args:(estimate_args est (Array.length apps))
+        (fun () ->
+          Array.to_list
+            (run_pass (shared_workspace ()) est apps (Array.map prepare apps) loads))
 
-let estimate_calibrated ?engine est measured =
-  estimate_with_loads ?engine est
+let estimate_calibrated est measured =
+  estimate_with_loads est
     (List.map
        (fun (a, period) ->
          if period <= 0. then

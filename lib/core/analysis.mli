@@ -12,19 +12,15 @@
       with response times as execution times. *)
 
 type estimator =
-  | Worst_case  (** Baseline: sum of others' execution times ({!Wcrt}). *)
-  | Order of int  (** m-th order truncation of Eq. 4 ({!Approx}). *)
+  | Worst_case  (** Baseline: sum of others' execution times. *)
+  | Order of int  (** m-th order truncation of Eq. 4 (Eq. 5 for [m = 2]). *)
   | Composability  (** ⊕/⊗ aggregation with inverses ({!Compose}). *)
-  | Exact  (** Full Eq. 4 ({!Exact}). *)
+  | Exact  (** Full Eq. 4. *)
 
 val estimator_name : estimator -> string
 val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)
-
-type period_engine =
-  | Mcm  (** HSDF expansion + maximum cycle ratio ({!Sdf.Hsdf}); default. *)
-  | Statespace  (** Self-timed execution ({!Sdf.Statespace}). *)
 
 type app = private {
   graph : Sdf.Graph.t;
@@ -82,14 +78,10 @@ val contended_metrics : estimate -> Sdf.Metrics.t option
 (** {!Sdf.Metrics.analyse} of {!adjusted_graph}: estimated latency, makespan
     and buffer peaks of the application {e while sharing} its processors. *)
 
-val estimate :
-  ?engine:period_engine ->
-  ?iterations:int ->
-  estimator ->
-  app list ->
-  estimate list
+val estimate : ?iterations:int -> estimator -> app list -> estimate list
 (** [estimate est apps] runs the Figure 4 algorithm for the use-case
-    consisting of exactly [apps] (order preserved in the result).
+    consisting of exactly [apps] (order preserved in the result), on the
+    {!Kernel} evaluators and period search.
 
     [iterations] (default [1], the paper's single pass) re-derives blocking
     probabilities from the estimated periods and repeats the analysis — a
@@ -97,16 +89,20 @@ val estimate :
 
     Waiting times are estimated from {e every} co-mapped actor, including
     actors of the same application sharing a node (the Figure 4 algorithm
-    makes no distinction); a lone application whose actors all have dedicated
-    processors therefore keeps its isolation period exactly. *)
+    makes no distinction).  A lone application whose actors all have
+    dedicated processors waits nowhere, so its period is its isolation
+    period up to the period search's 1e-9 bracket: the search returns a
+    bisection midpoint, not the exact cycle ratio ({!Kernel.period_into}).
+    @raise Invalid_argument if [iterations < 1] or on [Order m] with
+    [m < 2]. *)
 
 type cache
 (** Use-case-invariant per-application precomputation: the isolation-period
-    load descriptors ({!loads}) and the HSDF expansion of the application
-    graph (reused through {!Sdf.Hsdf.period_of_expansion} by the MCM engine).
-    A cache depends only on the [app] it was prepared from, so it can be
-    computed once per workload, shared read-only across domains, and reused
-    by every use-case the application appears in. *)
+    load descriptors ({!loads}), the execution times and the HSDF expansion
+    of the application graph flattened for {!Kernel.period_into}.  A cache
+    depends only on the [app] it was prepared from, so it can be computed
+    once per workload, shared read-only across domains, and reused by every
+    use-case the application appears in. *)
 
 val prepare : app -> cache
 
@@ -117,6 +113,24 @@ val kernel_graph : Sdf.Graph.t -> Kernel.graph
     is bit-identical to {!Sdf.Hsdf.period} of the graph carrying those
     times.
     @raise Invalid_argument as {!Sdf.Hsdf.expand}. *)
+
+val waits_into :
+  Kernel.scratch ->
+  estimator ->
+  p:float array ->
+  mu:float array ->
+  tau:float array ->
+  off:int ->
+  n:int ->
+  out:float array ->
+  unit
+(** The {!Kernel} evaluator of one estimator over one processor group (see
+    {!Kernel.wc_into} and its siblings for the slice layout): the wait the
+    members at [off..off+n-1] inflict on each other, written to [out].  This
+    is the per-group step of every pass; {!Explain} calls it to record and
+    to re-derive waits.  The scratch must have been grown with
+    {!Kernel.reserve_group} for [n] members.
+    @raise Invalid_argument on [Order m] with [m < 2]. *)
 
 type workspace
 (** Preallocated buffers for the kernel engine's Figure-4 pass ({!Kernel}):
@@ -133,36 +147,15 @@ val shared_workspace : unit -> workspace
     reuse one set of buffers per domain with no sharing or locking. *)
 
 val estimate_prepared :
-  ?engine:period_engine ->
-  ?workspace:workspace ->
-  ?exact_check:bool ->
-  estimator ->
-  (app * cache) list ->
-  estimate list
+  ?workspace:workspace -> estimator -> (app * cache) list -> estimate list
 (** Exactly {!estimate} with [iterations = 1], but with the per-app
     isolation work supplied by the caller instead of being recomputed: the
     results are bit-identical to [estimate est apps].  This is the hot path
     of {!Exp.Sweep}, where each application's cache is hit by up to
-    [2^(n-1)] use-cases.
-
-    With the default [Mcm] engine the pass runs on the zero-allocation
-    {!Kernel} evaluators over [workspace] (default: the domain's
-    {!shared_workspace}); the kernel replicates the reference's
-    floating-point operation sequences, so the switch is invisible in the
-    results.  [exact_check] (default [false]) re-runs every use-case on
-    {!estimate_prepared_reference} and fails if any waiting time, response
-    time, or period differs by more than [1e-9] — the belt-and-braces mode
-    for long unattended runs.
+    [2^(n-1)] use-cases.  The pass runs over [workspace] (default: the
+    domain's {!shared_workspace}).
     @raise Invalid_argument when a cache was prepared from a different
-    application than the one it is paired with.
-    @raise Failure on an [exact_check] divergence. *)
-
-val estimate_prepared_reference :
-  ?engine:period_engine -> estimator -> (app * cache) list -> estimate list
-(** The list-based reference implementation {!estimate_prepared} is checked
-    against (and the pre-kernel behaviour): {!waiting_time_for} per actor,
-    {!Sdf.Hsdf.period_of_expansion} per app.  Kept as the baseline for
-    [exact_check], the fuzzing oracle, and the benchmark's speedup ratio. *)
+    application than the one it is paired with. *)
 
 (** {1 Batched evaluation}
 
@@ -180,9 +173,7 @@ val prepare_workload : ?caches:cache array -> app array -> prepared
     @raise Invalid_argument on a cache/app mismatch or length mismatch. *)
 
 val estimate_batch :
-  ?engine:period_engine ->
   ?workspace:workspace ->
-  ?exact_check:bool ->
   estimator ->
   prepared ->
   Usecase.t list ->
@@ -199,25 +190,15 @@ val estimate_periods_into :
     returning the number of active applications.  No estimate records, no
     spans, no lists — once the workspace is warm, a call performs {e zero}
     heap allocation (enforced by the test suite's allocation budget).
-    [out] must have room for {!Usecase.cardinal}[ usecase] periods.  Only
-    the [Mcm] engine's semantics; validation is done by
-    {!prepare_workload}. *)
+    [out] must have room for {!Usecase.cardinal}[ usecase] periods.
+    Validation is done by {!prepare_workload}. *)
 
-val waiting_time_for : estimator -> Prob.t list -> float
-(** The raw per-actor waiting-time kernel used by {!estimate}: expected wait
-    inflicted by the given co-mapped loads. *)
-
-val estimate_with_loads :
-  ?engine:period_engine ->
-  estimator ->
-  (app * Prob.t array) list ->
-  estimate list
+val estimate_with_loads : estimator -> (app * Prob.t array) list -> estimate list
 (** One Figure-4 pass with caller-supplied per-actor loads — the building
-    block behind {!estimate_calibrated} and {!Interval.period_interval}.
+    block behind {!estimate_calibrated}.
     @raise Invalid_argument on a loads array of the wrong length. *)
 
 val estimate_calibrated :
-  ?engine:period_engine ->
   estimator ->
   (app * float) list ->
   estimate list

@@ -37,7 +37,6 @@ type app = {
   x_period : float;
   x_factor : float;
   x_throughput : float;
-  x_margin : Margin.t option;
   x_actors : actor list;
 }
 
@@ -65,23 +64,17 @@ let estimator_of_name s =
           | _ -> Error (Printf.sprintf "unknown estimator %S" s))
       | _ -> Error (Printf.sprintf "unknown estimator %S" s))
 
-let engine_name = function
-  | Analysis.Mcm -> "mcm"
-  | Analysis.Statespace -> "statespace"
-
-let engine_of_name = function
-  | "mcm" -> Ok Analysis.Mcm
-  | "statespace" -> Ok Analysis.Statespace
-  | s -> Error (Printf.sprintf "unknown period engine %S" s)
+(* The one period engine: the records keep the field so a reader can tell
+   which search produced the periods. *)
+let engine = "mcm"
 
 (* ------------------------------------------------------------------ *)
-(* Computation: the reference Figure-4 pass with its working kept        *)
+(* Computation: the Figure-4 pass with its working kept                  *)
 
-(* The per-processor occupancy lists replicate {!Analysis.one_pass} to the
-   letter: built by prepending during an ascending (app, actor) scan, so
-   each list runs descending and the estimator folds the contenders in the
-   same order — which is what makes every recorded float bit-identical to
-   the served value (the kernel engine replays the same sequences). *)
+(* The per-processor occupancy lists are built by prepending during an
+   ascending (app, actor) scan, so each list runs descending — the member
+   order of the kernel pass's processor groups ({!Analysis.estimate}), which
+   fixes the order the estimator folds the contenders in. *)
 let occupancy (apps : Analysis.app array) =
   let by_node = Hashtbl.create 16 in
   Array.iteri
@@ -95,6 +88,34 @@ let occupancy (apps : Analysis.app array) =
         a.mapping)
     apps;
   by_node
+
+(* The wait [est] inflicts on an actor from its recorded contenders, on the
+   kernel evaluator: the contenders, in fold order, followed by the actor
+   itself form one processor group.  The evaluator folds the wait of a
+   member over the others in group order, so the wait of that last member
+   folds exactly the contenders, as the use-case's own group does; the
+   actor's own load never enters its wait and is left zero. *)
+let kernel_wait ker est contenders =
+  let n = List.length contenders + 1 in
+  let p = Array.make n 0. and mu = Array.make n 0. and tau = Array.make n 0. in
+  List.iteri
+    (fun i c ->
+      p.(i) <- c.c_p;
+      mu.(i) <- c.c_mu;
+      tau.(i) <- c.c_tau)
+    contenders;
+  let out = Array.make n 0. in
+  Kernel.reserve_group ker n;
+  Analysis.waits_into ker est ~p ~mu ~tau ~off:0 ~n ~out;
+  out.(n - 1)
+
+(* The period of [graph] under per-actor response times, on the kernel's
+   period search. *)
+let kernel_period ker graph responses =
+  let out = [| 0. |] in
+  Kernel.period_into ker (Analysis.kernel_graph graph) ~exec:responses
+    ~exec_off:0 ~out ~out_idx:0;
+  out.(0)
 
 let fold_lineage names others =
   let _, rev =
@@ -115,12 +136,16 @@ let fold_lineage names others =
 
 (* Even truncations of Eq. 4 over-estimate, odd ones under-estimate
    (Section 4.1), so orders m and m+1 bracket the exact value. *)
-let sandwich_for order loads wait =
-  let other = Approx.waiting_time ~order:(order + 1) loads in
-  if order mod 2 = 0 then { s_order = order; s_lower = other; s_upper = wait }
-  else { s_order = order; s_lower = wait; s_upper = other }
+let sandwich_for ker est contenders wait =
+  match est with
+  | Analysis.Order m ->
+      let other = kernel_wait ker (Analysis.Order (m + 1)) contenders in
+      if m mod 2 = 0 then Some { s_order = m; s_lower = other; s_upper = wait }
+      else Some { s_order = m; s_lower = wait; s_upper = other }
+  | _ -> None
 
-let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
+let compute est (apps : Analysis.app list) =
+  let ker = Kernel.scratch () in
   let apps = Array.of_list apps in
   let app_loads = Array.map Analysis.loads apps in
   let names =
@@ -142,8 +167,19 @@ let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
                 else Some ((aj, actor_j), app_loads.(aj).(actor_j)))
               on_node
           in
-          let loads = List.map snd others in
-          let wait = Analysis.waiting_time_for est loads in
+          let contenders =
+            List.map
+              (fun ((aj, actor_j), (l : Prob.t)) ->
+                {
+                  c_app = names.(aj);
+                  c_actor = actor_j;
+                  c_p = l.p;
+                  c_mu = l.mu;
+                  c_tau = l.tau;
+                })
+              others
+          in
+          let wait = kernel_wait ker est contenders in
           let own = app_loads.(ai).(actor) in
           let exec = (Sdf.Graph.actor a.graph actor).exec_time in
           {
@@ -153,40 +189,19 @@ let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
             a_exec = exec;
             a_p = own.Prob.p;
             a_mu = own.Prob.mu;
-            a_contenders =
-              List.map
-                (fun ((aj, actor_j), (l : Prob.t)) ->
-                  {
-                    c_app = names.(aj);
-                    c_actor = actor_j;
-                    c_p = l.p;
-                    c_mu = l.mu;
-                    c_tau = l.tau;
-                  })
-                others;
+            a_contenders = contenders;
             a_fold =
               (match est with
               | Analysis.Composability -> fold_lineage names others
               | _ -> []);
-            a_sandwich =
-              (match est with
-              | Analysis.Order m -> Some (sandwich_for m loads wait)
-              | _ -> None);
+            a_sandwich = sandwich_for ker est contenders wait;
             a_wait = wait;
             a_response = exec +. wait;
           })
     in
-    let response_times =
-      Array.of_list (List.map (fun x -> x.a_response) actors)
-    in
     let period =
-      match engine with
-      | Analysis.Mcm ->
-          Sdf.Hsdf.period_of_expansion (Sdf.Hsdf.expand a.graph)
-            ~exec_times:response_times
-      | Analysis.Statespace ->
-          Sdf.Statespace.period_exn
-            (Sdf.Graph.with_exec_times a.graph response_times)
+      kernel_period ker a.graph
+        (Array.of_list (List.map (fun x -> x.a_response) actors))
     in
     {
       x_app = names.(ai);
@@ -194,30 +209,14 @@ let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
       x_period = period;
       x_factor = period /. a.isolation_period;
       x_throughput = 1. /. period;
-      x_margin = None;
       x_actors = actors;
     }
   in
   {
     estimator = Analysis.estimator_name est;
-    engine = engine_name engine;
+    engine;
     usecase = Array.to_list names;
     apps = Array.to_list (Array.mapi explain_app apps);
-  }
-
-(* Margins are statistical, not part of the bit-identical Figure-4 working,
-   so they are attached after the fact (by whoever holds the admission
-   state) rather than recomputed by {!compute}. *)
-let with_margins t margins =
-  {
-    t with
-    apps =
-      List.map
-        (fun x ->
-          match List.assoc_opt x.x_app margins with
-          | None -> x
-          | Some m -> { x with x_margin = Some m })
-        t.apps;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -230,7 +229,11 @@ let ( let* ) = Result.bind
 
 let verify (t : t) (apps : Analysis.app list) =
   let* est = estimator_of_name t.estimator in
-  let* engine = engine_of_name t.engine in
+  let* () =
+    if String.equal t.engine engine then Ok ()
+    else Error (Printf.sprintf "unknown period engine %S" t.engine)
+  in
+  let ker = Kernel.scratch () in
   let* () =
     if List.length apps = List.length t.apps then Ok ()
     else
@@ -272,12 +275,7 @@ let verify (t : t) (apps : Analysis.app list) =
         List.fold_left
           (fun acc (ax : actor) ->
             let* () = acc in
-            let loads =
-              List.map
-                (fun c -> Prob.make ~p:c.c_p ~mu:c.c_mu ~tau:c.c_tau)
-                ax.a_contenders
-            in
-            let wait = Analysis.waiting_time_for est loads in
+            let wait = kernel_wait ker est ax.a_contenders in
             let where =
               Printf.sprintf "%s actor %d (%s)" name ax.a_index ax.a_name
             in
@@ -289,6 +287,16 @@ let verify (t : t) (apps : Analysis.app list) =
               check (where ^ " response time") ~expect:ax.a_response
                 ~got:response
             in
+            let* () =
+              match (ax.a_sandwich, sandwich_for ker est ax.a_contenders wait) with
+              | None, None -> Ok ()
+              | Some s, Some r when s.s_order = r.s_order ->
+                  let* () =
+                    check (where ^ " sandwich lower") ~expect:s.s_lower ~got:r.s_lower
+                  in
+                  check (where ^ " sandwich upper") ~expect:s.s_upper ~got:r.s_upper
+              | _ -> Error (where ^ ": sandwich does not match the estimator")
+            in
             if ax.a_index < 0 || ax.a_index >= n then
               Error (Printf.sprintf "%s: actor index out of range" where)
             else begin
@@ -297,15 +305,7 @@ let verify (t : t) (apps : Analysis.app list) =
             end)
           (Ok ()) x.x_actors
       in
-      let period =
-        match engine with
-        | Analysis.Mcm ->
-            Sdf.Hsdf.period_of_expansion (Sdf.Hsdf.expand a.graph)
-              ~exec_times:responses
-        | Analysis.Statespace ->
-            Sdf.Statespace.period_exn
-              (Sdf.Graph.with_exec_times a.graph responses)
-      in
+      let period = kernel_period ker a.graph responses in
       let* () = check (name ^ ": period") ~expect:x.x_period ~got:period in
       let* () =
         check (name ^ ": throughput") ~expect:x.x_throughput ~got:(1. /. period)
@@ -368,19 +368,6 @@ let actor_to_json a =
       | Some s -> [ ("sandwich", sandwich_to_json s) ])
     @ [ ("wait", Num a.a_wait); ("response", Num a.a_response) ])
 
-let margin_to_json (m : Margin.t) =
-  Obj
-    [
-      ("confidence", Num m.confidence);
-      ("method", Str (Margin.method_to_string m.method_));
-      ("period", Num m.period);
-      ("lo", Num m.lo);
-      ("hi", Num m.hi);
-      ("mean", Num m.mean);
-      ("std", Num m.std);
-      ("samples", int_j m.samples);
-    ]
-
 let app_to_json x =
   Obj
     ([
@@ -390,9 +377,6 @@ let app_to_json x =
        ("contention_factor", Num x.x_factor);
        ("throughput", Num x.x_throughput);
      ]
-    @ (match x.x_margin with
-      | None -> []
-      | Some m -> [ ("margin", margin_to_json m) ])
     @ [ ("actors", Arr (List.map actor_to_json x.x_actors)) ])
 
 let to_json t =
@@ -490,35 +474,15 @@ let actor_of_json j =
       a_response;
     }
 
-let margin_of_json j =
-  let* confidence = field "confidence" get_num j in
-  let* method_name = field "method" get_str j in
-  let* method_ = Margin.method_of_string method_name in
-  let* period = field "period" get_num j in
-  let* lo = field "lo" get_num j in
-  let* hi = field "hi" get_num j in
-  let* mean = field "mean" get_num j in
-  let* std = field "std" get_num j in
-  let* samples = field "samples" get_int j in
-  let m = { Margin.confidence; method_; period; lo; hi; mean; std; samples } in
-  let* () = Margin.validate m in
-  Ok m
-
 let app_of_json j =
   let* x_app = field "app" get_str j in
   let* x_isolation = field "isolation_period" get_num j in
   let* x_period = field "period" get_num j in
   let* x_factor = field "contention_factor" get_num j in
   let* x_throughput = field "throughput" get_num j in
-  let* x_margin =
-    (* Lenient in presence (older records have no margin), strict in shape. *)
-    match member "margin" j with
-    | None | Some Null -> Ok None
-    | Some v -> Result.map Option.some (margin_of_json v)
-  in
   let* actors = field "actors" get_arr j in
   let* x_actors = map_result actor_of_json actors in
-  Ok { x_app; x_isolation; x_period; x_factor; x_throughput; x_margin; x_actors }
+  Ok { x_app; x_isolation; x_period; x_factor; x_throughput; x_actors }
 
 let of_json j =
   let* estimator = field "estimator" get_str j in
@@ -559,13 +523,6 @@ let render t =
          throughput %s\n"
         x.x_app (num x.x_isolation) (num x.x_period) (num x.x_factor)
         (num x.x_throughput);
-      (match x.x_margin with
-      | None -> ()
-      | Some m ->
-          Printf.bprintf buf "  margin: [%s, %s] at %g%% confidence (%s)\n"
-            (num m.Margin.lo) (num m.Margin.hi)
-            (100. *. m.Margin.confidence)
-            (Margin.method_to_string m.Margin.method_));
       let rows =
         List.map
           (fun a ->

@@ -11,13 +11,14 @@
     contended period and contention factor.
 
     The record is {e reproducing}: {!verify} re-derives every waiting time
-    from the recorded contender descriptors alone and every period from the
-    application graphs plus the re-derived response times, and demands
-    bit-for-bit equality with the recorded values.  Since the kernel engine
-    ({!Analysis.estimate_prepared}) replicates the reference floating-point
-    operation sequences, a provenance record produced by {!compute} also
-    reproduces a served estimate exactly — which is what the serve daemon's
-    [explain] command and the shadow auditor lean on.
+    and truncation bracket from the recorded contender descriptors alone and
+    every period from the application graphs plus the re-derived response
+    times, and demands bit-for-bit equality with the recorded values.  Both
+    {!compute} and {!verify} evaluate on the {!Kernel} evaluators
+    ({!Analysis.waits_into}) and the kernel's period search over
+    {!Analysis.kernel_graph} — the production numbers, so a provenance
+    record reproduces a served estimate exactly, which is what the serve
+    daemon's [explain] command and the shadow auditor lean on.
 
     The JSON codec is total: {!of_json} never raises, and
     [of_json (to_json t) = Ok t]. *)
@@ -80,16 +81,14 @@ type app = {
   x_period : float;  (** Estimated period inside the use-case. *)
   x_factor : float;  (** Contention factor: [x_period /. x_isolation]. *)
   x_throughput : float;  (** [1. /. x_period]. *)
-  x_margin : Margin.t option;
-      (** Confidence interval around [x_period], when one was attached
-          ({!with_margins}) — statistical, so excluded from {!verify}'s
-          bit-identical reproduction contract. *)
   x_actors : actor list;
 }
 
 type t = {
   estimator : string;  (** Canonical estimator name. *)
-  engine : string;  (** ["mcm"] or ["statespace"]. *)
+  engine : string;
+      (** Always ["mcm"]: the maximum-cycle-ratio period search of
+          {!Kernel.period_into}.  {!verify} rejects any other value. *)
   usecase : string list;  (** Active application names, ascending. *)
   apps : app list;
 }
@@ -98,29 +97,18 @@ val estimator_of_name : string -> (Analysis.estimator, string) result
 (** Parse a canonical {!Analysis.estimator_name} back — exactly the names
     {!compute} stores, nothing looser. *)
 
-val compute :
-  ?engine:Analysis.period_engine ->
-  Analysis.estimator ->
-  Analysis.app list ->
-  t
+val compute : Analysis.estimator -> Analysis.app list -> t
 (** Run one Figure-4 pass over exactly the given applications (the
     use-case), recording provenance along the way.  Every recorded number
-    is bit-identical to what {!Analysis.estimate} (and the kernel path
-    behind {!Analysis.estimate_prepared}) produces for the same inputs.
-    [x_margin] is [None] everywhere; see {!with_margins}. *)
-
-val with_margins : t -> (string * Margin.t) list -> t
-(** Attach confidence margins to the named applications (unknown names are
-    ignored, apps not named keep [x_margin = None]).  Margins are
-    statistical — produced by {!Admission.margin_for} or a {!Margin}
-    constructor, not recomputed here — so attaching them never perturbs the
-    record's reproducible numbers. *)
+    is bit-identical to what {!Analysis.estimate} and
+    {!Analysis.estimate_prepared} produce for the same inputs.
+    @raise Invalid_argument on [Order m] with [m < 2]. *)
 
 val verify : t -> Analysis.app list -> (unit, string) result
-(** Re-derive the estimate from the provenance record: waiting times from
-    the recorded contender descriptors via the named estimator, response
-    times from the recorded execution times, periods from the application
-    graphs under the re-derived response times.  [Ok ()] iff every value
+(** Re-derive the estimate from the provenance record: waiting times and
+    [Order m] brackets from the recorded contender descriptors via the named
+    estimator, response times from the recorded execution times, periods
+    from the application graphs under the re-derived response times.  [Ok ()] iff every value
     matches the record bit for bit ([Error] names the first divergence).
     The [apps] must be the use-case the record was computed for, in record
     order. *)

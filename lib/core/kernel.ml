@@ -14,11 +14,11 @@
      closure is ever built on the hot path.
 
    The evaluators replicate the exact floating-point operation sequences of
-   the list-based reference implementations ({!Wcrt}, {!Approx}, {!Compose},
-   {!Exact}, {!Sdf.Mcm}) — same fold orders, same parenthesisation, same
-   guarded deconvolutions — so their results are bit-identical, which is what
-   lets {!Analysis.estimate_prepared} switch engines without disturbing the
-   golden 1e-9 pins or the serve daemon's cache-equality guarantees. *)
+   the list-based reference in lib/check ([Check.Reference]: the Eq. 4/5
+   evaluators, {!Compose}, {!Sdf.Mcm}) — same fold orders, same
+   parenthesisation, same guarded deconvolutions — so their results are
+   bit-identical to that oracle, which the golden 1e-9 pins and the serve
+   daemon's cache-equality guarantees rest on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch *)
@@ -92,8 +92,8 @@ let fill_others s ~p ~off ~n ~t =
     s.ps.(o - 1) <- p.(off + o)
   done
 
-(* j-th coefficient of the Eq. 4 series: (-1)^(j+1) / (j+1), inlined from
-   {!Exact.series_coefficient} (a cross-module float return would box). *)
+(* j-th coefficient of the Eq. 4 series: (-1)^(j+1) / (j+1), inlined (a
+   float-returning helper would box). *)
 let order_into s ~order ~p ~mu ~off ~n ~out =
   for t = 0 to n - 1 do
     let m = n - 1 in
@@ -674,7 +674,7 @@ module Group = struct
     series_waiting g ~excluding:t ~max_degree_of:(fun m -> m - 1)
 
   let order_waiting g ~order ~excluding:id =
-    if order < 2 then invalid_arg "Contention.Approx.waiting_time: order < 2";
+    if order < 2 then invalid_arg "Contention.Kernel.Group.order_waiting: order < 2";
     let t = match id with None -> -1 | Some id -> index_of g id in
     (match id with
     | Some id when t < 0 ->

@@ -1,15 +1,15 @@
 (** Zero-allocation estimator kernel.
 
-    Flat-array re-implementations of the waiting-time estimators and of the
-    maximum-cycle-ratio period engine, evaluating entirely over preallocated
-    scratch buffers: once a {!scratch} has grown to a workload's high-water
-    mark, calls perform {e no} heap allocation (minor or major).  The
-    evaluators reproduce the reference implementations' floating-point
-    operation sequences exactly — same fold orders, same parenthesisation,
-    same guarded deconvolutions — so results are {e bit-identical} to the
-    list-based {!Wcrt}/{!Approx}/{!Compose}/{!Exact} and {!Sdf.Mcm} paths.
-    {!Analysis} builds the group layout and drives these evaluators; see
-    DESIGN §11 for the memory layout and the boxing rules the code obeys.
+    The library's one implementation of the waiting-time estimators and of
+    the maximum-cycle-ratio period engine, evaluating entirely over
+    preallocated scratch buffers: once a {!scratch} has grown to a
+    workload's high-water mark, calls perform {e no} heap allocation (minor
+    or major).  The evaluators reproduce the floating-point operation
+    sequences of the list-based oracle in lib/check ([Check.Reference]) —
+    same fold orders, same parenthesisation, same guarded deconvolutions —
+    so results are {e bit-identical} to it and to {!Sdf.Mcm}.  {!Analysis}
+    builds the group layout and drives these evaluators; see DESIGN §11 for
+    the memory layout and the boxing rules the code obeys.
 
     Group members are passed as parallel [(array, offset, count)] slices
     rather than records or lists, and results are written into caller arrays:
@@ -34,11 +34,12 @@ val reserve_group : scratch -> int -> unit
     parallel arrays [p] (blocking probability), [mu] (average blocking time),
     [tau] (execution time), in the same order as the reference path's
     per-processor contender list; the expected wait inflicted on member [t]
-    by the other members is written to [out.(off+t)].  All evaluators handle
-    lone members ([n = 1] → wait [0.]) and never allocate. *)
+    by the other members is written to [out.(off+t)].  The wait of member
+    [t] depends only on the other members, in group order.  All evaluators
+    handle lone members ([n = 1] → wait [0.]) and never allocate. *)
 
 val wc_into : tau:float array -> off:int -> n:int -> out:float array -> unit
-(** {!Wcrt}: sum of the others' execution times. *)
+(** Worst case: sum of the others' execution times. *)
 
 val order_into :
   scratch ->
@@ -49,7 +50,7 @@ val order_into :
   n:int ->
   out:float array ->
   unit
-(** {!Approx.waiting_time}: the order-[order] truncation of Eq. 4, including
+(** The order-[order] truncation of Eq. 4 (Eq. 5 at order 2), including
     its guarded truncated deconvolution.  [order >= 2] is the caller's
     responsibility ({!Analysis} validates it once per pass). *)
 
@@ -61,7 +62,7 @@ val exact_into :
   n:int ->
   out:float array ->
   unit
-(** {!Exact.waiting_time}: the full Eq. 4 series with guarded removal. *)
+(** The full Eq. 4 series with guarded removal. *)
 
 val comp_into :
   scratch ->

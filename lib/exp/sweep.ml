@@ -39,7 +39,7 @@ let cycle_args = function
       ]
 
 let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
-    ?(exact_check = false) (w : Workload.t) =
+    (w : Workload.t) =
   let estimators =
     Option.value ~default:Contention.Analysis.all_paper_estimators estimators
   in
@@ -104,7 +104,7 @@ let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
                       use-case this task analyses reuses the same buffers. *)
                    Contention.Analysis.estimate_prepared
                      ~workspace:(Contention.Analysis.shared_workspace ())
-                     ~exact_check est pairs)
+                     est pairs)
              in
              task_analysis_s.(k) <- Obs.Clock.elapsed_s ~since:t0;
              ( est,

@@ -29,7 +29,6 @@ val run :
   ?usecases:Contention.Usecase.t list ->
   ?progress:(int -> int -> unit) ->
   ?jobs:int ->
-  ?exact_check:bool ->
   Workload.t ->
   t
 (** [run w] sweeps all [2^n - 1] use-cases (or the given subset) with the
@@ -50,9 +49,8 @@ val run :
     ({!Contention.Analysis.estimate_prepared}) over one
     {!Contention.Analysis.workspace} per domain, so a [jobs]-way sweep
     allocates estimator scratch [jobs] times in total, not per use-case.
-    [exact_check] (default [false]) re-runs every estimate on the list-based
-    reference and fails on any divergence beyond [1e-9] — a self-validating
-    (slower) mode for unattended runs, exposed as [--exact-check] on the CLI.
+    The CLI's [--exact-check] re-checks a finished sweep against the
+    list-based reference in lib/check.
 
     [progress done total] is called after each use-case, serialised under a
     mutex with strictly increasing [done] counts; the callback must therefore

@@ -55,26 +55,53 @@ let test_paper_example_worst_case () =
 
 let test_single_app_untouched () =
   let a, _ = paper_apps () in
-  match Analysis.estimate (Analysis.Order 2) [ a ] with
+  (match Analysis.estimate (Analysis.Order 2) [ a ] with
   | [ r ] ->
       Fixtures.check_float "period = isolation" 300. r.Analysis.period;
       Alcotest.(check (array (float 1e-9))) "no waiting" [| 0.; 0.; 0. |]
         r.Analysis.waiting_times;
       Fixtures.check_float "throughput" (1. /. 300.) (Analysis.throughput r)
-  | _ -> Alcotest.fail "wrong arity"
+  | _ -> Alcotest.fail "wrong arity");
+  (* Every paper-workload application alone: no actor shares a processor,
+     so nothing waits, and the period is the isolation period up to the
+     period search's 1e-9 bracket (a bisection midpoint, not the exact
+     ratio). *)
+  let w = Exp.Workload.make () in
+  Array.iteri
+    (fun i (app : Analysis.app) ->
+      List.iter
+        (fun est ->
+          match Analysis.estimate est [ app ] with
+          | [ r ] ->
+              Array.iter
+                (fun wt ->
+                  if wt <> 0. then
+                    Alcotest.failf "app %d %s: wait %h" i
+                      (Analysis.estimator_name est) wt)
+                r.Analysis.waiting_times;
+              if Float.abs (r.period -. app.isolation_period) > 1e-9 then
+                Alcotest.failf "app %d %s: period %.17g, isolation %.17g" i
+                  (Analysis.estimator_name est) r.period app.isolation_period
+          | _ -> Alcotest.fail "wrong arity")
+        (Analysis.Exact :: Analysis.all_paper_estimators))
+    w.apps
 
 let test_empty_usecase () =
   Alcotest.(check int) "no apps" 0 (List.length (Analysis.estimate Analysis.Exact []))
 
 let test_engines_agree () =
+  (* The kernel's period search against self-timed execution of the graph
+     carrying the estimated response times. *)
   let a, b = paper_apps () in
-  let with_engine engine =
-    List.map
-      (fun (r : Analysis.estimate) -> r.period)
-      (Analysis.estimate ~engine (Analysis.Order 2) [ a; b ])
-  in
-  let mcm = with_engine Analysis.Mcm and ss = with_engine Analysis.Statespace in
-  List.iter2 (fun x y -> Fixtures.check_float ~eps:1e-5 "engine parity" x y) mcm ss
+  List.iter
+    (fun est ->
+      List.iter
+        (fun (r : Analysis.estimate) ->
+          Fixtures.check_float ~eps:1e-5 "engine parity"
+            (Sdf.Statespace.period_exn (Analysis.adjusted_graph r))
+            r.period)
+        (Analysis.estimate est [ a; b ]))
+    (Analysis.Exact :: Analysis.all_paper_estimators)
 
 let test_iterated_refinement () =
   let a, b = paper_apps () in

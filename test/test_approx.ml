@@ -1,4 +1,6 @@
 open Contention
+module Approx = Check.Reference.Approx
+module Exact = Check.Reference.Exact
 
 let test_second_order_closed_form () =
   (* Equation 5: W = sum_i w_i (1 + 1/2 sum_(j<>i) P_j). *)

@@ -1,4 +1,5 @@
 open Contention
+module Exact = Check.Reference.Exact
 
 let single_load =
   let open QCheck2.Gen in

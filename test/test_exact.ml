@@ -1,4 +1,6 @@
 open Contention
+module Wcrt = Check.Reference.Wcrt
+module Exact = Check.Reference.Exact
 
 let test_empty_and_single () =
   Fixtures.check_float "no contenders" 0. (Exact.waiting_time []);

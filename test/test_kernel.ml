@@ -3,6 +3,9 @@
    batched engine entry points, and the warm-path allocation budget. *)
 
 open Contention
+module Wcrt = Check.Reference.Wcrt
+module Approx = Check.Reference.Approx
+module Exact = Check.Reference.Exact
 
 let arrays_of loads =
   let n = List.length loads in
@@ -279,18 +282,19 @@ let test_engine_bit_identity () =
      it exercises the certified probe-skipping of the period search. *)
   let w = small_workload () in
   let caches = Array.map Analysis.prepare w.apps in
+  let refs = Array.map Check.Reference.prepare w.apps in
   List.iter
     (fun uc ->
-      let pairs =
-        List.map (fun i -> (w.apps.(i), caches.(i))) (Usecase.to_list uc)
+      let pairs cs =
+        List.map (fun i -> (w.apps.(i), cs.(i))) (Usecase.to_list uc)
       in
       List.iter
         (fun est ->
           let name = Analysis.estimator_name est in
           List.iter2
             (check_estimates_equal name)
-            (Analysis.estimate_prepared est pairs)
-            (Analysis.estimate_prepared_reference est pairs))
+            (Analysis.estimate_prepared est (pairs caches))
+            (Check.Reference.estimate_prepared est (pairs refs)))
         engine_estimators)
     (Usecase.all ~napps:(Array.length w.apps))
 
@@ -318,6 +322,7 @@ let test_batch_bit_identity () =
 let test_periods_into_matches () =
   let w = small_workload () in
   let caches = Array.map Analysis.prepare w.apps in
+  let refs = Array.map Check.Reference.prepare w.apps in
   let prepared = Analysis.prepare_workload ~caches w.apps in
   let ws = Analysis.workspace () in
   let out = Array.make (Array.length w.apps) 0. in
@@ -329,9 +334,11 @@ let test_periods_into_matches () =
             Analysis.estimate_periods_into ws est prepared ~usecase:uc ~out
           in
           let pairs =
-            List.map (fun i -> (w.apps.(i), caches.(i))) (Usecase.to_list uc)
+            List.map
+              (fun i -> (w.apps.(i), refs.(i)))
+              (Usecase.to_list uc)
           in
-          let reference = Analysis.estimate_prepared_reference est pairs in
+          let reference = Check.Reference.estimate_prepared est pairs in
           Alcotest.(check int) "active count" (List.length reference) active;
           List.iteri
             (fun k (r : Analysis.estimate) ->

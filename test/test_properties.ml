@@ -97,7 +97,7 @@ let prop_compose_is_second_order_for_pairs =
       | [ x ], [ y ] ->
           close
             (Contention.Compose.waiting_time [ x; y ])
-            (Contention.Approx.second_order [ x; y ])
+            (Check.Reference.Approx.second_order [ x; y ])
       | _ -> true)
 
 (* --- Eq. 5 truncations vs Eq. 4 -------------------------------------- *)
@@ -108,25 +108,25 @@ let prop_order_n_is_exact =
     (fun loads ->
       let n = List.length loads in
       close
-        (Contention.Approx.waiting_time ~order:(Int.max 2 n) loads)
-        (Contention.Exact.waiting_time loads))
+        (Check.Reference.Approx.waiting_time ~order:(Int.max 2 n) loads)
+        (Check.Reference.Exact.waiting_time loads))
 
 let prop_even_orders_sandwich_exact =
   Fixtures.qcheck_case "feasible node: o2 >= o4 >= exact >= 0"
     (feasible_gen ())
     (fun loads ->
-      let o2 = Contention.Approx.second_order loads in
-      let o4 = Contention.Approx.fourth_order loads in
-      let exact = Contention.Exact.waiting_time loads in
+      let o2 = Check.Reference.Approx.second_order loads in
+      let o4 = Check.Reference.Approx.fourth_order loads in
+      let exact = Check.Reference.Exact.waiting_time loads in
       leq exact o4 && leq o4 o2 && leq 0. exact)
 
 let prop_bounded_by_worst_case =
   Fixtures.qcheck_case "feasible node: every estimator <= worst case"
     (feasible_gen ())
     (fun loads ->
-      let wc = Contention.Wcrt.waiting_time loads in
+      let wc = Check.Reference.Wcrt.waiting_time loads in
       List.for_all
-        (fun est -> leq (Contention.Analysis.waiting_time_for est loads) wc)
+        (fun est -> leq (Check.Reference.waiting_time est loads) wc)
         estimators)
 
 let prop_exact_matches_brute_force =
@@ -134,8 +134,8 @@ let prop_exact_matches_brute_force =
     (Fixtures.load_gen ())
     (fun loads ->
       close
-        (Contention.Exact.waiting_time loads)
-        (Contention.Exact.waiting_time_brute_force loads))
+        (Check.Reference.Exact.waiting_time loads)
+        (Check.Reference.Exact.waiting_time_brute_force loads))
 
 (* --- Monotonicity in a co-mapped actor's load ------------------------ *)
 
@@ -158,8 +158,8 @@ let prop_monotone_in_load =
       List.for_all
         (fun est ->
           leq
-            (Contention.Analysis.waiting_time_for est loads)
-            (Contention.Analysis.waiting_time_for est grown))
+            (Check.Reference.waiting_time est loads)
+            (Check.Reference.waiting_time est grown))
         estimators)
 
 let suite =

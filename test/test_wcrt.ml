@@ -1,4 +1,6 @@
 open Contention
+module Wcrt = Check.Reference.Wcrt
+module Exact = Check.Reference.Exact
 
 let test_sums_exec_times () =
   let loads =
