@@ -45,28 +45,21 @@ let scalars =
     "1e999"; "-1e999"; "-0.0"; "99999999999999999999999999";
     "0.00000000000000000001"; "null"; "true"; "false"; "[]"; "{}"; "42";
     {|"cmd"|}; {|{"cmd": 42}|}; {|{"cmd": null}|}; {|{"cmd": ""}|};
-    {|{"cmd": "estimate"}|}; {|{"cmd": "upload"}|};
-    {|{"cmd": "admit", "session": 3}|};
     {|{"cmd": "estimate", "digest": "nope", "estimator": "bogus"}|};
-    {|{"cmd": "release", "app": []}|}; {|[{"cmd": "ping"}]|};
-    (* Malformed admit margin fields: out-of-range, non-numeric and
-       non-finite confidence, unknown/ill-typed margin method — each must be
-       an error reply, never a crash or a margin-less silent admit. *)
+    {|[{"cmd": "ping"}]|};
+    (* Out-of-range and non-finite admit margin fields and an unknown margin
+       method — each must be an error reply, never a crash or a margin-less
+       silent admit.  Missing and ill-typed fields are {!field_mutants}. *)
     {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": 1.5}|};
     {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": 0}|};
     {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": -0.95}|};
-    {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": "high"}|};
     {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": 1e999}|};
     {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "confidence": 0.95, "margin_method": "bogus"}|};
-    {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": 0.1, "margin_method": 42}|};
-    {|{"cmd": "admit", "workload": "0123456789abcdef", "app": "A", "min_throughput": "fast", "confidence": 0.95}|};
     (* Stale/duplicate session ids: releases of never-admitted apps and
        empty or repeated identifiers. *)
     {|{"cmd": "release", "session": "never-created", "app": "ghost"}|};
     {|{"cmd": "release", "session": "", "app": ""}|};
     {|{"cmd": "release", "session": "s", "app": "A", "app": "B"}|};
-    {|{"cmd": "cache-put"}|};
-    {|{"cmd": "cache-put", "workload": "0123456789abcdef", "mask": "x"}|};
     {|{"cmd": "cache-put", "workload": "0123456789abcdef", "mask": -3, "estimator": "o2", "results": []}|};
     {|{"cmd": "cache-put", "workload": "0123456789abcdef", "mask": 3, "estimator": "bogus", "results": [{"app": "A"}]}|};
     {|{"shed": {"queue_depth": 1}}|}; {|{"shed": {}}|};
@@ -87,54 +80,73 @@ let scalars =
     "\xff\xfe\x00garbage"; "{"; "}"; {|{"cmd": "ping"|}; {|"unterminated|};
   |]
 
-(* Valid requests to mutate or truncate.  Shutdown is deliberately absent:
-   a fuzz line must never be able to request an orderly shutdown, or the
-   liveness probe would report a false crash. *)
-let template rng =
+(* Valid requests to mutate or truncate, one per command.  Shutdown is
+   deliberately absent: a fuzz line must never be able to request an
+   orderly shutdown, or the liveness probe would report a false crash. *)
+let requests ~usecase ~confidence ~margin_method =
   let open Serve.Protocol in
-  let reqs =
-    [|
-      Ping;
-      Stats;
-      Metrics;
-      Upload { payload = "graph \"A\"\nactor a0 10\nactor a1 5\n" };
-      Estimate
-        {
-          digest = "0123456789abcdef";
-          usecase = (if Rng.bool rng then None else Some [ "A"; "B" ]);
-          estimator = Contention.Analysis.Exact;
-        };
-      Admit
-        {
-          session = "s";
-          digest = "0123456789abcdef";
-          app = "A";
-          min_throughput = 0.25;
-          confidence = (if Rng.bool rng then None else Some 0.95);
-          margin_method =
-            (match Rng.int rng 3 with
-            | 0 -> None
-            | 1 -> Some Contention.Margin.Z_score
-            | _ -> Some Contention.Margin.Quantile);
-        };
-      Release { session = "s"; app = "A" };
-      Cache_put
-        {
-          digest = "0123456789abcdef";
-          mask = 3;
-          estimator = "second-order";
-          rows =
-            [
-              {
-                app = "A";
-                period = 12.;
-                isolation_period = 10.;
-                throughput = 0.1;
-              };
-            ];
-        };
-    |]
+  let digest = "0123456789abcdef" in
+  [|
+    Ping;
+    Stats;
+    Metrics;
+    Upload { payload = "graph \"A\"\nactor a0 10\nactor a1 5\n" };
+    Estimate { digest; usecase; estimator = Contention.Analysis.Exact };
+    Explain { digest; usecase; estimator = Contention.Analysis.Order 3 };
+    Admit
+      {
+        session = "s";
+        digest;
+        app = "A";
+        min_throughput = 0.25;
+        confidence;
+        margin_method;
+      };
+    Release { session = "s"; app = "A" };
+    Cache_put
+      {
+        digest;
+        mask = 3;
+        estimator = "second-order";
+        rows =
+          [ { app = "A"; period = 12.; isolation_period = 10.; throughput = 0.1 } ];
+      };
+  |]
+
+(* Single-fault mutants of every command, from the protocol's command table:
+   each required field removed, and each field given a value of the wrong
+   JSON type.  The bases carry every optional field. *)
+let field_mutants =
+  let line fields = Serve.Json.to_string (Serve.Json.Obj fields) in
+  let wrong = function Serve.Json.Str _ -> Serve.Json.Num 0. | _ -> Serve.Json.Str "" in
+  let mutants r =
+    let case = List.nth Serve.Protocol.commands (Serve.Protocol.command_index r) in
+    match Serve.Protocol.request_to_json r with
+    | Serve.Json.Obj fields ->
+        List.concat_map
+          (fun (f : Serve.Codec.field) ->
+            let retyped (k, v) = (k, if k = f.key then wrong v else v) in
+            (if f.required then [ line (List.remove_assoc f.key fields) ] else [])
+            @ [ line (List.map retyped fields) ])
+          (Serve.Codec.fields case)
+    | _ -> []
   in
+  requests ~usecase:(Some [ "A"; "B" ]) ~confidence:(Some 0.95)
+    ~margin_method:(Some Contention.Margin.Quantile)
+  |> Array.to_list |> List.concat_map mutants
+
+let scalars = Array.append scalars (Array.of_list field_mutants)
+
+let template rng =
+  let usecase = if Rng.bool rng then None else Some [ "A"; "B" ] in
+  let confidence = if Rng.bool rng then None else Some 0.95 in
+  let margin_method =
+    match Rng.int rng 3 with
+    | 0 -> None
+    | 1 -> Some Contention.Margin.Z_score
+    | _ -> Some Contention.Margin.Quantile
+  in
+  let reqs = requests ~usecase ~confidence ~margin_method in
   let trace =
     (* Half the templates carry a trace envelope with the foreign id, so
        byte-flipping and truncation also hammer the trace parser. *)
@@ -148,7 +160,7 @@ let template rng =
         }
   in
   Serve.Json.to_string
-    (request_to_json ?trace reqs.(Rng.int rng (Array.length reqs)))
+    (Serve.Protocol.request_to_json ?trace reqs.(Rng.int rng (Array.length reqs)))
 
 let mutate rng s =
   let b = Bytes.of_string s in
@@ -291,16 +303,12 @@ let fuzz_session_ids server =
             }))
   in
   let target =
-    match step ~what:"upload" ~expect_ok:true upload_line with
-    | Some payload -> (
-        match
-          ( Option.bind (Serve.Json.member "digest" payload) Serve.Json.get_str,
-            Serve.Json.member "apps" payload )
-        with
-        | Some digest, Some (Serve.Json.Arr (Serve.Json.Str app :: _)) ->
-            Some (digest, app)
-        | _ -> None)
-    | None -> None
+    match
+      Option.map Serve.Protocol.upload_reply_of_json
+        (step ~what:"upload" ~expect_ok:true upload_line)
+    with
+    | Some (Ok { digest; apps = app :: _; _ }) -> Some (digest, app)
+    | _ -> None
   in
   (match target with
   | None ->

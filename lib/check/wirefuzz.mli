@@ -31,6 +31,12 @@ val passed : result -> bool
 val fuzz_line : Sdfgen.Rng.t -> string
 (** One adversarial input line (exposed for the unit tests). *)
 
+val field_mutants : string list
+(** Request lines with exactly one fault, derived from
+    {!Serve.Protocol.commands}: for every command, each required field
+    missing and each field given a value of the wrong JSON type.  They are
+    among {!fuzz_line}'s inputs. *)
+
 val fuzz_lines : ?seeds:int -> Serve.Server.t -> result
 (** In-process campaign against a running server's {!Serve.Server.handle_line}. *)
 

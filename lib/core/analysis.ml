@@ -8,6 +8,29 @@ let estimator_name = function
   | Composability -> "composability"
   | Exact -> "exact"
 
+let estimator_of_string s =
+  let order m =
+    if m >= 2 then Ok (Order m)
+    else Error (Printf.sprintf "estimator order must be >= 2, got %d" m)
+  in
+  match String.lowercase_ascii (String.trim s) with
+  | "worst-case" | "wc" -> Ok Worst_case
+  | "second-order" | "o2" -> Ok (Order 2)
+  | "fourth-order" | "o4" -> Ok (Order 4)
+  | "composability" | "comp" -> Ok Composability
+  | "exact" -> Ok Exact
+  | s -> (
+      match (int_of_string_opt s, String.index_opt s '-') with
+      | Some m, _ -> order m
+      | None, Some i when String.sub s 0 i = "order" -> (
+          (* The canonical name of Order m for m outside {2, 4}. *)
+          match
+            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+          with
+          | Some m -> order m
+          | None -> Error (Printf.sprintf "unknown estimator %S" s))
+      | _ -> Error (Printf.sprintf "unknown estimator %S" s))
+
 let all_paper_estimators = [ Worst_case; Order 4; Order 2; Composability ]
 
 type app = {
@@ -38,7 +61,7 @@ let app ?period ?procs ?distributions graph ~mapping =
   let isolation_period =
     match period with Some p -> p | None -> Sdf.Statespace.period_exn graph
   in
-  if isolation_period <= 0. then
+  if not (isolation_period > 0. && Float.is_finite isolation_period) then
     invalid_arg "Contention.Analysis.app: non-positive period";
   { graph; mapping; repetition; isolation_period; distributions }
 
@@ -55,7 +78,8 @@ let loads_with_period a period =
 let loads a = loads_with_period a a.isolation_period
 
 let loads_at_period a ~period =
-  if period <= 0. then invalid_arg "Contention.Analysis.loads_at_period: period <= 0";
+  if not (period > 0. && Float.is_finite period) then
+    invalid_arg "Contention.Analysis.loads_at_period: period <= 0";
   loads_with_period a period
 
 type estimate = {
@@ -415,7 +439,7 @@ let estimate_calibrated est measured =
   estimate_with_loads est
     (List.map
        (fun (a, period) ->
-         if period <= 0. then
+         if not (period > 0. && Float.is_finite period) then
            invalid_arg "Contention.Analysis.estimate_calibrated: period <= 0";
          (a, loads_with_period a period))
        measured)

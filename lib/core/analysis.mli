@@ -18,6 +18,14 @@ type estimator =
   | Exact  (** Full Eq. 4. *)
 
 val estimator_name : estimator -> string
+
+val estimator_of_string : string -> (estimator, string) result
+(** The one estimator-name grammar (CLI, wire protocol, provenance
+    records): the canonical names of {!estimator_name} ("worst-case",
+    "second-order", "fourth-order", "order-M", "composability", "exact"),
+    the short aliases "wc", "o2", "o4", "comp", and a bare integer M >= 2
+    for [Order M]; case and surrounding blanks are ignored. *)
+
 val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)
@@ -49,15 +57,17 @@ val app :
     the loads use mean residual lives as blocking times (Section 6 of the
     paper); the per-firing durations themselves are only drawn when
     simulating ({!Desim.Engine.run}'s [firing_time] hook).
-    @raise Invalid_argument on a deadlocking graph, invalid mapping, or a
-    distribution array of the wrong length. *)
+    @raise Invalid_argument on a deadlocking graph, invalid mapping, a
+    distribution array of the wrong length, or a [period] that is not
+    finite and positive. *)
 
 val loads : app -> Prob.t array
 (** Per-actor load descriptors from the isolation period. *)
 
 val loads_at_period : app -> period:float -> Prob.t array
 (** Load descriptors re-based on another period — e.g. a measured one (the
-    Section 6 calibration).  @raise Invalid_argument if it is not positive. *)
+    Section 6 calibration).  @raise Invalid_argument unless it is finite
+    and positive. *)
 
 type estimate = {
   for_app : app;
@@ -208,4 +218,5 @@ val estimate_calibrated :
     period instead of its isolation period, and one estimation pass is run
     on top.  Since contention stretches periods, measured-period loads are
     smaller and the estimate tightens towards the observed system.
-    @raise Invalid_argument on a non-positive measured period. *)
+    @raise Invalid_argument unless every measured period is finite and
+    positive. *)

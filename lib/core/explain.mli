@@ -20,20 +20,9 @@
     record reproduces a served estimate exactly, which is what the serve
     daemon's [explain] command and the shadow auditor lean on.
 
-    The JSON codec is total: {!of_json} never raises, and
-    [of_json (to_json t) = Ok t]. *)
-
-(** A minimal JSON document — structurally the same shape as the serve
-    layer's codec, which cannot be used here because [serve] sits above
-    [contention].  The serve layer converts between the two representations
-    at the wire boundary. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+    The record's JSON codec is [Serve.Protocol.explain_reply_to_json] and
+    [Serve.Protocol.explain_reply_of_json], declared with the wire
+    protocol's other shapes. *)
 
 type contender = {
   c_app : string;  (** Application the contender belongs to. *)
@@ -85,17 +74,15 @@ type app = {
 }
 
 type t = {
-  estimator : string;  (** Canonical estimator name. *)
+  estimator : string;
+      (** Canonical {!Analysis.estimator_name}; {!verify} rejects any other
+          spelling, aliases such as ["o2"] included. *)
   engine : string;
       (** Always ["mcm"]: the maximum-cycle-ratio period search of
           {!Kernel.period_into}.  {!verify} rejects any other value. *)
   usecase : string list;  (** Active application names, ascending. *)
   apps : app list;
 }
-
-val estimator_of_name : string -> (Analysis.estimator, string) result
-(** Parse a canonical {!Analysis.estimator_name} back — exactly the names
-    {!compute} stores, nothing looser. *)
 
 val compute : Analysis.estimator -> Analysis.app list -> t
 (** Run one Figure-4 pass over exactly the given applications (the
@@ -112,11 +99,6 @@ val verify : t -> Analysis.app list -> (unit, string) result
     matches the record bit for bit ([Error] names the first divergence).
     The [apps] must be the use-case the record was computed for, in record
     order. *)
-
-val to_json : t -> json
-
-val of_json : json -> (t, string) result
-(** Total: malformed documents yield [Error], never an exception. *)
 
 val render : t -> string
 (** Human-readable explanation: one block per application with its period

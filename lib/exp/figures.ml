@@ -149,12 +149,16 @@ let render_timing (s : Sweep.t) =
     (Printf.sprintf "  simulation of %d use-cases: %.2f s\n"
        (List.length (List.sort_uniq compare (List.map (fun o -> o.Sweep.usecase) s.observations)))
        s.timing.simulation_s);
+  let sim = s.timing.simulation_s in
   List.iter
     (fun (est, t) ->
+      let speed =
+        if sim >= t then Printf.sprintf "%.1fx faster" (sim /. Float.max 1e-9 t)
+        else Printf.sprintf "%.1fx slower" (t /. Float.max 1e-9 sim)
+      in
       Buffer.add_string buf
-        (Printf.sprintf "  analysis (%s): %.2f s  (%.0fx faster than simulation)\n"
+        (Printf.sprintf "  analysis (%s): %.2f s  (%s than simulation)\n"
            (Contention.Analysis.estimator_name est)
-           t
-           (s.timing.simulation_s /. Float.max 1e-9 t)))
+           t speed))
     s.timing.analysis_s;
   Buffer.contents buf

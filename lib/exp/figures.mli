@@ -42,6 +42,8 @@ val render_fig6 : fig6 -> string
 
 val render_timing : Sweep.t -> string
 (** Wall-clock comparison of the sweep's simulation versus analysis time —
-    the paper's "minutes versus 23 hours" claim, measured on this machine. *)
+    the paper's "minutes versus 23 hours" claim, measured on this machine.
+    Each estimator's ratio has one decimal and reads "slower" when analysis
+    took longer than simulation. *)
 
 val complexity_of : Contention.Analysis.estimator -> string

@@ -41,88 +41,32 @@ type request =
   | Shutdown
 
 let default_session = "default"
-
-let estimator_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "worst-case" | "wc" -> Ok Contention.Analysis.Worst_case
-  | "second-order" | "o2" -> Ok (Contention.Analysis.Order 2)
-  | "fourth-order" | "o4" -> Ok (Contention.Analysis.Order 4)
-  | "composability" | "comp" -> Ok Contention.Analysis.Composability
-  | "exact" -> Ok Contention.Analysis.Exact
-  | s -> (
-      let order m =
-        if m >= 2 then Ok (Contention.Analysis.Order m)
-        else Error (Printf.sprintf "estimator order must be >= 2, got %d" m)
-      in
-      match int_of_string_opt s with
-      | Some m -> order m
-      | None -> (
-          (* The canonical name of Order m for m outside {2, 4}. *)
-          match String.index_opt s '-' with
-          | Some i
-            when String.sub s 0 i = "order" -> (
-              match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-              | Some m -> order m
-              | None -> Error (Printf.sprintf "unknown estimator %S" s))
-          | _ -> Error (Printf.sprintf "unknown estimator %S" s)))
-
+let estimator_of_string = Contention.Analysis.estimator_of_string
 let estimator_to_string = Contention.Analysis.estimator_name
 
 (* ------------------------------------------------------------------ *)
-(* Field helpers                                                       *)
+(* Field codecs                                                        *)
 
-let ( let* ) = Result.bind
+(* Every shape below is one {!Codec} declaration: its constructor, its
+   destructor and its fields in wire order, which is also the order the
+   decoder checks them in. *)
 
-let field name conv json =
-  match Json.member name json with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+open Codec
 
-let opt_field name conv json =
-  match Json.member name json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+let estimator = map estimator_of_string estimator_to_string string
 
-let str_list json =
-  match Json.get_arr json with
-  | None -> None
-  | Some xs ->
-      List.fold_right
-        (fun x acc ->
-          match (Json.get_str x, acc) with
-          | Some s, Some rest -> Some (s :: rest)
-          | _ -> None)
-        xs (Some [])
+let margin_method =
+  map Contention.Margin.method_of_string Contention.Margin.method_to_string string
 
-let estimate_row_to_json r =
-  Json.Obj
-    [
-      ("app", Json.Str r.app);
-      ("period", Json.Num r.period);
-      ("isolation_period", Json.Num r.isolation_period);
-      ("throughput", Json.Num r.throughput);
-    ]
+let estimate_row =
+  obj
+    (fun app period isolation_period throughput ->
+      { app; period; isolation_period; throughput })
+    (fun r k -> k r.app r.period r.isolation_period r.throughput)
+    (req "app" string ++ req "period" num ++ req "isolation_period" num
+   ++ req "throughput" num)
 
-let estimate_row_of_json json =
-  let* app = field "app" Json.get_str json in
-  let* period = field "period" Json.get_num json in
-  let* isolation_period = field "isolation_period" Json.get_num json in
-  let* throughput = field "throughput" Json.get_num json in
-  Ok { app; period; isolation_period; throughput }
-
-let rows_of_json rows_json =
-  List.fold_right
-    (fun r acc ->
-      let* acc = acc in
-      let* row = estimate_row_of_json r in
-      Ok (row :: acc))
-    rows_json (Ok [])
+let rows = list estimate_row
 
 (* ------------------------------------------------------------------ *)
 (* Trace context envelope                                              *)
@@ -134,181 +78,106 @@ let rows_of_json rows_json =
    ignored — peers of different versions must interoperate, and a fuzzer
    must not be able to fail a valid command via its trace decoration. *)
 
-let trace_to_json (c : Obs.Span.ctx) =
-  Json.Obj
-    [
-      ("id", Json.Str (Obs.Span.id_to_hex c.trace_id));
-      ("parent", Json.Str (Obs.Span.id_to_hex c.parent_span));
-      ("sampled", Json.Bool c.sampled);
-    ]
+let span_id =
+  map
+    (fun s -> Option.to_result ~none:"bad span id" (Obs.Span.id_of_hex s))
+    Obs.Span.id_to_hex string
 
-let trace_of_request json : Obs.Span.ctx option =
-  match Json.member "trace" json with
-  | None -> None
-  | Some t -> (
-      match Option.bind (Json.member "id" t) Json.get_str with
-      | None -> None
-      | Some id_hex -> (
-          match Obs.Span.id_of_hex id_hex with
-          | None | Some 0L -> None
-          | Some trace_id ->
-              let parent_span =
-                match
-                  Option.bind
-                    (Option.bind (Json.member "parent" t) Json.get_str)
-                    Obs.Span.id_of_hex
-                with
-                | Some p -> p
-                | None -> 0L
-              in
-              let sampled =
-                match Option.bind (Json.member "sampled" t) Json.get_bool with
-                | Some b -> b
-                | None -> true
-              in
-              Some { Obs.Span.trace_id; parent_span; sampled }))
+let trace_ctx =
+  obj
+    ~check:(fun (c : Obs.Span.ctx) ->
+      if c.trace_id = 0L then Error "zero trace id" else Ok ())
+    (fun trace_id parent_span sampled -> { Obs.Span.trace_id; parent_span; sampled })
+    (fun c k -> k c.trace_id c.parent_span c.sampled)
+    (req "id" span_id ++ lenient "parent" 0L span_id ++ lenient "sampled" true bool)
+
+let trace_of_request json =
+  Option.bind (Json.member "trace" json) (fun t -> Result.to_option (of_json trace_ctx t))
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 
-let base_request_to_json = function
-  | Ping -> Json.Obj [ ("cmd", Json.Str "ping") ]
-  | Upload { payload } ->
-      Json.Obj [ ("cmd", Json.Str "upload"); ("workload", Json.Str payload) ]
-  | Estimate { digest; usecase; estimator } ->
-      Json.Obj
-        ([ ("cmd", Json.Str "estimate"); ("workload", Json.Str digest) ]
-        @ (match usecase with
-          | None -> []
-          | Some apps ->
-              [ ("usecase", Json.Arr (List.map (fun a -> Json.Str a) apps)) ])
-        @ [ ("estimator", Json.Str (estimator_to_string estimator)) ])
-  | Admit { session; digest; app; min_throughput; confidence; margin_method } ->
-      Json.Obj
-        ([
-           ("cmd", Json.Str "admit");
-           ("session", Json.Str session);
-           ("workload", Json.Str digest);
-           ("app", Json.Str app);
-           ("min_throughput", Json.Num min_throughput);
-         ]
-        @ (match confidence with
-          | None -> []
-          | Some c -> [ ("confidence", Json.Num c) ])
-        @
-        match margin_method with
-        | None -> []
-        | Some m ->
-            [ ("margin_method", Json.Str (Contention.Margin.method_to_string m)) ])
-  | Release { session; app } ->
-      Json.Obj
-        [
-          ("cmd", Json.Str "release");
-          ("session", Json.Str session);
-          ("app", Json.Str app);
-        ]
-  | Cache_put { digest; mask; estimator; rows } ->
-      Json.Obj
-        [
-          ("cmd", Json.Str "cache-put");
-          ("workload", Json.Str digest);
-          ("mask", Json.Num (float_of_int mask));
-          ("estimator", Json.Str estimator);
-          ("results", Json.Arr (List.map estimate_row_to_json rows));
-        ]
-  | Explain { digest; usecase; estimator } ->
-      Json.Obj
-        ([ ("cmd", Json.Str "explain"); ("workload", Json.Str digest) ]
-        @ (match usecase with
-          | None -> []
-          | Some apps ->
-              [ ("usecase", Json.Arr (List.map (fun a -> Json.Str a) apps)) ])
-        @ [ ("estimator", Json.Str (estimator_to_string estimator)) ])
-  | Stats -> Json.Obj [ ("cmd", Json.Str "stats") ]
-  | Metrics -> Json.Obj [ ("cmd", Json.Str "metrics") ]
-  | Shutdown -> Json.Obj [ ("cmd", Json.Str "shutdown") ]
+(* The fields an estimate and an explain request share. *)
+let query =
+  req "workload" string ++ opt "usecase" (list string)
+  ++ dft "estimator" (Contention.Analysis.Order 2) estimator
 
-let request_to_json ?trace req =
-  match (trace, base_request_to_json req) with
-  | Some c, Json.Obj fields -> Json.Obj (fields @ [ ("trace", trace_to_json c) ])
+let confidence =
+  map
+    (fun c ->
+      if Float.is_finite c && c > 0. && c < 1. then Ok c
+      else Error "confidence must be in (0,1)")
+    Fun.id num
+
+(* The per-command table: wire name, fields, and the index a server counts
+   the command under (its position). *)
+let commands =
+  [
+    case0 "ping" Ping;
+    case "upload"
+      (fun payload -> Upload { payload })
+      (function Upload { payload } -> Some (fun k -> k payload) | _ -> None)
+      (req "workload" string);
+    case "estimate"
+      (fun digest usecase estimator -> Estimate { digest; usecase; estimator })
+      (function
+        | Estimate { digest; usecase; estimator } ->
+            Some (fun k -> k digest usecase estimator)
+        | _ -> None)
+      query;
+    case "explain"
+      (fun digest usecase estimator -> Explain { digest; usecase; estimator })
+      (function
+        | Explain { digest; usecase; estimator } ->
+            Some (fun k -> k digest usecase estimator)
+        | _ -> None)
+      query;
+    case "admit"
+      ~check:(function
+        | Admit { min_throughput = m; _ } when not (Float.is_finite m && m >= 0.) ->
+            Error "min_throughput must be finite and non-negative"
+        | _ -> Ok ())
+      (fun session digest app min_throughput confidence margin_method ->
+        Admit { session; digest; app; min_throughput; confidence; margin_method })
+      (function
+        | Admit { session; digest; app; min_throughput; confidence; margin_method } ->
+            Some (fun k -> k session digest app min_throughput confidence margin_method)
+        | _ -> None)
+      (dft "session" default_session string ++ req "workload" string
+     ++ req "app" string ++ req "min_throughput" num
+     ++ opt "confidence" confidence ++ opt "margin_method" margin_method);
+    case "release"
+      (fun session app -> Release { session; app })
+      (function Release { session; app } -> Some (fun k -> k session app) | _ -> None)
+      (dft "session" default_session string ++ req "app" string);
+    case "cache-put"
+      ~check:(function
+        | Cache_put { mask; _ } when mask < 0 -> Error "mask must be non-negative"
+        | _ -> Ok ())
+      (fun digest mask estimator rows -> Cache_put { digest; mask; estimator; rows })
+      (function
+        | Cache_put { digest; mask; estimator; rows } ->
+            Some (fun k -> k digest mask estimator rows)
+        | _ -> None)
+      (req "workload" string ++ req "mask" int ++ req "estimator" string
+     ++ req "results" rows);
+    case0 "stats" Stats;
+    case0 "metrics" Metrics;
+    case0 "shutdown" Shutdown;
+  ]
+
+let request = variant ~key:"cmd" ~what:"command" commands
+
+let command_index r = Option.get (List.find_index (fun c -> matches c r) commands)
+
+let request_to_json ?trace r =
+  match (trace, to_json request r) with
+  | Some c, Json.Obj fields -> Json.Obj (fields @ [ ("trace", to_json trace_ctx c) ])
   | _, json -> json
 
-let request_of_json json =
-  match Json.get_obj json with
-  | None -> Error "request must be a JSON object"
-  | Some _ -> (
-      let* cmd = field "cmd" Json.get_str json in
-      match cmd with
-      | "ping" -> Ok Ping
-      | "upload" ->
-          let* payload = field "workload" Json.get_str json in
-          Ok (Upload { payload })
-      | "estimate" | "explain" ->
-          let* digest = field "workload" Json.get_str json in
-          let* usecase = opt_field "usecase" str_list json in
-          let* name =
-            match Json.member "estimator" json with
-            | None | Some Json.Null -> Ok "second-order"
-            | Some v -> (
-                match Json.get_str v with
-                | Some s -> Ok s
-                | None -> Error "field \"estimator\" has the wrong type")
-          in
-          let* estimator = estimator_of_string name in
-          if cmd = "explain" then Ok (Explain { digest; usecase; estimator })
-          else Ok (Estimate { digest; usecase; estimator })
-      | "admit" ->
-          let* session =
-            Result.map
-              (Option.value ~default:default_session)
-              (opt_field "session" Json.get_str json)
-          in
-          let* digest = field "workload" Json.get_str json in
-          let* app = field "app" Json.get_str json in
-          let* min_throughput = field "min_throughput" Json.get_num json in
-          let* confidence = opt_field "confidence" Json.get_num json in
-          let* confidence =
-            match confidence with
-            | None -> Ok None
-            | Some c ->
-                if Float.is_finite c && c > 0. && c < 1. then Ok (Some c)
-                else Error "confidence must be in (0,1)"
-          in
-          let* margin_method =
-            match Json.member "margin_method" json with
-            | None | Some Json.Null -> Ok None
-            | Some v -> (
-                match Json.get_str v with
-                | None -> Error "field \"margin_method\" has the wrong type"
-                | Some s ->
-                    Result.map Option.some
-                      (Contention.Margin.method_of_string s))
-          in
-          if Float.is_finite min_throughput && min_throughput >= 0. then
-            Ok
-              (Admit
-                 { session; digest; app; min_throughput; confidence; margin_method })
-          else Error "min_throughput must be finite and non-negative"
-      | "release" ->
-          let* session =
-            Result.map
-              (Option.value ~default:default_session)
-              (opt_field "session" Json.get_str json)
-          in
-          let* app = field "app" Json.get_str json in
-          Ok (Release { session; app })
-      | "cache-put" ->
-          let* digest = field "workload" Json.get_str json in
-          let* mask = field "mask" Json.get_int json in
-          let* estimator = field "estimator" Json.get_str json in
-          let* rows_json = field "results" Json.get_arr json in
-          let* rows = rows_of_json rows_json in
-          if mask < 0 then Error "mask must be non-negative"
-          else Ok (Cache_put { digest; mask; estimator; rows })
-      | "stats" -> Ok Stats
-      | "metrics" -> Ok Metrics
-      | "shutdown" -> Ok Shutdown
-      | cmd -> Error (Printf.sprintf "unknown command %S" cmd))
+let request_of_json = function
+  | Json.Obj _ as json -> of_json request json
+  | _ -> Error "request must be a JSON object"
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -339,21 +208,6 @@ type audit_stats = {
   audit_margin_checked : int;
   audit_margin_missed : int;
 }
-
-let no_audit =
-  {
-    audit_sample = 0;
-    audit_submitted = 0;
-    audit_completed = 0;
-    audit_dropped = 0;
-    audit_failed = 0;
-    audit_mean_err = 0.;
-    audit_max_abs_err = 0.;
-    audit_alarms = 0;
-    audit_drifting = [];
-    audit_margin_checked = 0;
-    audit_margin_missed = 0;
-  }
 
 type stats_reply = {
   uptime_s : float;
@@ -399,361 +253,238 @@ let pool_occupancy s =
 
 type metrics_reply = { prometheus : string }
 
-let metrics_reply_to_json r = Json.Obj [ ("prometheus", Json.Str r.prometheus) ]
+let metrics_reply =
+  obj (fun prometheus -> { prometheus }) (fun r k -> k r.prometheus)
+    (req "prometheus" string)
 
-let metrics_reply_of_json json =
-  let* prometheus = field "prometheus" Json.get_str json in
-  Ok { prometheus }
+let upload_reply =
+  obj
+    (fun digest apps procs -> { digest; apps; procs })
+    (fun r k -> k r.digest r.apps r.procs)
+    (req "digest" string ++ req "apps" (list string) ++ req "procs" int)
 
-let upload_reply_to_json r =
-  Json.Obj
-    [
-      ("digest", Json.Str r.digest);
-      ("apps", Json.Arr (List.map (fun a -> Json.Str a) r.apps));
-      ("procs", Json.Num (float_of_int r.procs));
-    ]
+let estimate_fields results =
+  req "cached" bool ++ req "estimator" string ++ req "results" results
 
-let upload_reply_of_json json =
-  let* digest = field "digest" Json.get_str json in
-  let* apps = field "apps" str_list json in
-  let* procs = field "procs" Json.get_int json in
-  Ok { digest; apps; procs }
+let estimate_reply =
+  obj
+    (fun cached estimator rows -> { cached; estimator; rows })
+    (fun r k -> k r.cached r.estimator r.rows)
+    (estimate_fields rows)
 
-let estimate_reply_json ~cached ~estimator results =
-  Json.Obj
-    [
-      ("cached", Json.Bool cached);
-      ("estimator", Json.Str estimator);
-      ("results", results);
-    ]
+(* The same shape with the rows as pre-encoded text, for the cache-hit
+   path; it is only ever printed. *)
+let encoded_estimate_reply =
+  obj
+    (fun cached estimator results -> (cached, estimator, results))
+    (fun (cached, estimator, results) k -> k cached estimator results)
+    (estimate_fields
+       (map (fun _ -> Error "pre-encoded rows") (fun e -> Json.Encoded e) any))
 
-let estimate_results rows = Json.Arr (List.map estimate_row_to_json rows)
-
-let estimate_reply_to_json r =
-  estimate_reply_json ~cached:r.cached ~estimator:r.estimator
-    (estimate_results r.rows)
-
-let encode_results rows = Json.encode (estimate_results rows)
+let encode_results rs = Json.encode (to_json rows rs)
 
 let encoded_estimate_reply_to_json ~cached ~estimator results =
-  estimate_reply_json ~cached ~estimator (Json.Encoded results)
+  to_json encoded_estimate_reply (cached, estimator, results)
 
-let estimate_reply_of_json json =
-  let* cached = field "cached" Json.get_bool json in
-  let* estimator = field "estimator" Json.get_str json in
-  let* rows_json = field "results" Json.get_arr json in
-  let* rows = rows_of_json rows_json in
-  Ok { cached; estimator; rows }
+let margin =
+  obj ~check:Contention.Margin.validate
+    (fun confidence method_ period lo hi mean std samples ->
+      { Contention.Margin.confidence; method_; period; lo; hi; mean; std; samples })
+    (fun (m : Contention.Margin.t) k ->
+      k m.confidence m.method_ m.period m.lo m.hi m.mean m.std m.samples)
+    (req "confidence" num ++ req "method" margin_method ++ req "period" num
+   ++ req "lo" num ++ req "hi" num ++ req "mean" num ++ req "std" num
+   ++ req "samples" int)
 
-(* The provenance record's JSON lives in [Contention.Explain] (core cannot
-   see the serve layer's codec); the two ASTs are structurally identical, so
-   the bridge is a plain structural copy in each direction. *)
-let rec json_of_explain : Contention.Explain.json -> Json.t = function
-  | Contention.Explain.Null -> Json.Null
-  | Contention.Explain.Bool b -> Json.Bool b
-  | Contention.Explain.Num n -> Json.Num n
-  | Contention.Explain.Str s -> Json.Str s
-  | Contention.Explain.Arr xs -> Json.Arr (List.map json_of_explain xs)
-  | Contention.Explain.Obj fields ->
-      Json.Obj (List.map (fun (k, v) -> (k, json_of_explain v)) fields)
-
-let rec explain_json_of_json : Json.t -> Contention.Explain.json = function
-  | Json.Null -> Contention.Explain.Null
-  | Json.Bool b -> Contention.Explain.Bool b
-  | Json.Num n -> Contention.Explain.Num n
-  | Json.Str s -> Contention.Explain.Str s
-  | Json.Arr xs -> Contention.Explain.Arr (List.map explain_json_of_json xs)
-  | Json.Obj fields ->
-      Contention.Explain.Obj
-        (List.map (fun (k, v) -> (k, explain_json_of_json v)) fields)
-  | Json.Encoded _ ->
-      (* Only a server builds pre-encoded nodes, and only for estimate
-         replies; a parsed document never holds one. *)
-      invalid_arg "Serve.Protocol.explain_json_of_json: pre-encoded value"
-
-let explain_reply_to_json (e : Contention.Explain.t) =
-  json_of_explain (Contention.Explain.to_json e)
-
-let explain_reply_of_json json =
-  Contention.Explain.of_json (explain_json_of_json json)
-
-let margin_to_json (m : Contention.Margin.t) =
-  Json.Obj
+let verdict =
+  variant ~key:"verdict" ~what:"verdict"
     [
-      ("confidence", Json.Num m.confidence);
-      ("method", Json.Str (Contention.Margin.method_to_string m.method_));
-      ("period", Json.Num m.period);
-      ("lo", Json.Num m.lo);
-      ("hi", Json.Num m.hi);
-      ("mean", Json.Num m.mean);
-      ("std", Json.Num m.std);
-      ("samples", Json.Num (float_of_int m.samples));
+      case "admitted"
+        (fun throughput margin -> Admitted { throughput; margin })
+        (function
+          | Admitted { throughput; margin } -> Some (fun k -> k throughput margin)
+          | _ -> None)
+        (req "throughput" num ++ opt "margin" margin);
+      case "rejected-candidate"
+        (fun estimated required -> Rejected_candidate { estimated; required })
+        (function
+          | Rejected_candidate { estimated; required } ->
+              Some (fun k -> k estimated required)
+          | _ -> None)
+        (req "estimated" num ++ req "required" num);
+      case "rejected-victim"
+        (fun victim estimated required ->
+          Rejected_victim { victim; estimated; required })
+        (function
+          | Rejected_victim { victim; estimated; required } ->
+              Some (fun k -> k victim estimated required)
+          | _ -> None)
+        (req "victim" string ++ req "estimated" num ++ req "required" num);
     ]
 
-let margin_of_json json =
-  let* confidence = field "confidence" Json.get_num json in
-  let* method_name = field "method" Json.get_str json in
-  let* method_ = Contention.Margin.method_of_string method_name in
-  let* period = field "period" Json.get_num json in
-  let* lo = field "lo" Json.get_num json in
-  let* hi = field "hi" Json.get_num json in
-  let* mean = field "mean" Json.get_num json in
-  let* std = field "std" Json.get_num json in
-  let* samples = field "samples" Json.get_int json in
-  let m =
-    { Contention.Margin.confidence; method_; period; lo; hi; mean; std; samples }
-  in
-  let* () = Contention.Margin.validate m in
-  Ok m
-
-let verdict_to_json = function
-  | Admitted { throughput; margin } ->
+(* {"total": N, <command>: N, ...}: the per-command counts are whatever
+   integral members follow the total. *)
+let request_counts =
+  let total = obj Fun.id (fun n k -> k n) (req "total" int) in
+  map
+    (function
+      | Json.Obj kvs as json ->
+          Result.map
+            (fun n ->
+              ( n,
+                List.filter_map
+                  (fun (k, v) ->
+                    if k = "total" then None
+                    else Option.map (fun n -> (k, n)) (Json.get_int v))
+                  kvs ))
+            (of_json total json)
+      | _ -> Error "field \"requests\" has the wrong type")
+    (fun (n, per_cmd) ->
       Json.Obj
-        ([ ("verdict", Json.Str "admitted"); ("throughput", Json.Num throughput) ]
-        @
-        match margin with
-        | None -> []
-        | Some m -> [ ("margin", margin_to_json m) ])
-  | Rejected_candidate { estimated; required } ->
-      Json.Obj
-        [
-          ("verdict", Json.Str "rejected-candidate");
-          ("estimated", Json.Num estimated);
-          ("required", Json.Num required);
-        ]
-  | Rejected_victim { victim; estimated; required } ->
-      Json.Obj
-        [
-          ("verdict", Json.Str "rejected-victim");
-          ("victim", Json.Str victim);
-          ("estimated", Json.Num estimated);
-          ("required", Json.Num required);
-        ]
+        (("total", to_json int n) :: List.map (fun (c, n) -> (c, to_json int n)) per_cmd))
+    any
 
-let verdict_of_json json =
-  let* kind = field "verdict" Json.get_str json in
-  match kind with
-  | "admitted" ->
-      let* throughput = field "throughput" Json.get_num json in
-      let* margin =
-        match Json.member "margin" json with
-        | None | Some Json.Null -> Ok None
-        | Some m -> Result.map Option.some (margin_of_json m)
-      in
-      Ok (Admitted { throughput; margin })
-  | "rejected-candidate" ->
-      let* estimated = field "estimated" Json.get_num json in
-      let* required = field "required" Json.get_num json in
-      Ok (Rejected_candidate { estimated; required })
-  | "rejected-victim" ->
-      let* victim = field "victim" Json.get_str json in
-      let* estimated = field "estimated" Json.get_num json in
-      let* required = field "required" Json.get_num json in
-      Ok (Rejected_victim { victim; estimated; required })
-  | k -> Error (Printf.sprintf "unknown verdict %S" k)
+(* Audit counters are read as truncated numbers, like every field of the
+   audit block: lenient, since pre-audit servers do not send it. *)
+let audit_stats =
+  let count = map (fun x -> Ok (int_of_float x)) float_of_int num in
+  obj
+    (fun audit_sample audit_submitted audit_completed audit_dropped audit_failed
+         audit_mean_err audit_max_abs_err audit_alarms audit_drifting
+         audit_margin_checked audit_margin_missed ->
+      {
+        audit_sample; audit_submitted; audit_completed; audit_dropped;
+        audit_failed; audit_mean_err; audit_max_abs_err; audit_alarms;
+        audit_drifting; audit_margin_checked; audit_margin_missed;
+      })
+    (fun a k ->
+      k a.audit_sample a.audit_submitted a.audit_completed a.audit_dropped
+        a.audit_failed a.audit_mean_err a.audit_max_abs_err a.audit_alarms
+        a.audit_drifting a.audit_margin_checked a.audit_margin_missed)
+    (lenient "sample" 0 count ++ lenient "submitted" 0 count
+   ++ lenient "completed" 0 count ++ lenient "dropped" 0 count
+   ++ lenient "failed" 0 count ++ lenient "mean_err" 0. num
+   ++ lenient "max_abs_err" 0. num ++ lenient "alarms" 0 count
+   ++ lenient "drifting" [] (list string)
+   ++ lenient "margin_checked" 0 count ++ lenient "margin_missed" 0 count)
 
-let stats_reply_to_json s =
-  Json.Obj
-    [
-      ("uptime_s", Json.Num s.uptime_s);
-      ("connections", Json.Num (float_of_int s.connections));
-      ( "requests",
-        Json.Obj
-          (("total", Json.Num (float_of_int s.requests_total))
-          :: List.map
-               (fun (cmd, n) -> (cmd, Json.Num (float_of_int n)))
-               s.requests) );
-      ("workloads", Json.Num (float_of_int s.workloads));
-      ("sessions", Json.Num (float_of_int s.sessions));
-      ( "cache",
-        Json.Obj
-          [
-            ("entries", Json.Num (float_of_int s.cache_entries));
-            ("capacity", Json.Num (float_of_int s.cache_capacity));
-            ("hits", Json.Num (float_of_int s.cache_hits));
-            ("misses", Json.Num (float_of_int s.cache_misses));
-          ] );
-      ( "pool",
-        Json.Obj
-          [
-            ("active_connections", Json.Num (float_of_int s.active_connections));
-            ("workers", Json.Num (float_of_int s.workers));
-            ("queue_capacity", Json.Num (float_of_int s.queue_capacity));
-            ("shed", Json.Num (float_of_int s.shed));
-          ] );
-      ( "admission",
-        Json.Obj
-          [
-            ("admitted", Json.Num (float_of_int s.admitted));
-            ("rejected_candidate", Json.Num (float_of_int s.rejected_candidate));
-            ("rejected_victim", Json.Num (float_of_int s.rejected_victim));
-            ("released", Json.Num (float_of_int s.released));
-            ("margins", Json.Num (float_of_int s.margins_served));
-            ("margin_mean_rel_width", Json.Num s.margin_mean_rel_width);
-          ] );
-      ( "latency_us",
-        Json.Obj
-          [
-            ("mean", Json.Num s.latency_mean_us);
-            ("p50", Json.Num s.latency_p50_us);
-            ("p90", Json.Num s.latency_p90_us);
-            ("p99", Json.Num s.latency_p99_us);
-            ("max", Json.Num s.latency_max_us);
-            ("samples", Json.Num (float_of_int s.latency_samples));
-          ] );
-      ( "slo",
-        Json.Obj
-          [
-            ("objective_ms", Json.Num s.slo_objective_ms);
-            ("target", Json.Num s.slo_target);
-            ("burn_1m", Json.Num s.slo_burn_1m);
-            ("burn_1h", Json.Num s.slo_burn_1h);
-          ] );
-      ( "audit",
-        Json.Obj
-          [
-            ("sample", Json.Num (float_of_int s.audit.audit_sample));
-            ("submitted", Json.Num (float_of_int s.audit.audit_submitted));
-            ("completed", Json.Num (float_of_int s.audit.audit_completed));
-            ("dropped", Json.Num (float_of_int s.audit.audit_dropped));
-            ("failed", Json.Num (float_of_int s.audit.audit_failed));
-            ("mean_err", Json.Num s.audit.audit_mean_err);
-            ("max_abs_err", Json.Num s.audit.audit_max_abs_err);
-            ("alarms", Json.Num (float_of_int s.audit.audit_alarms));
-            ( "drifting",
-              Json.Arr
-                (List.map (fun e -> Json.Str e) s.audit.audit_drifting) );
-            ( "margin_checked",
-              Json.Num (float_of_int s.audit.audit_margin_checked) );
-            ( "margin_missed",
-              Json.Num (float_of_int s.audit.audit_margin_missed) );
-          ] );
-    ]
+(* Every audit field defaults: this is the all-zero block. *)
+let no_audit = Result.get_ok (of_json audit_stats (Json.Obj []))
 
-let stats_reply_of_json json =
-  let* uptime_s = field "uptime_s" Json.get_num json in
-  let* connections = field "connections" Json.get_int json in
-  let* requests_obj = field "requests" Json.get_obj json in
-  let* requests_total =
-    field "total" Json.get_int (Json.Obj requests_obj)
+(* The margin accounting, the SLO block and the audit block are absent from
+   older servers: they default to zero so a new client still reads an old
+   server's stats. *)
+let stats_reply =
+  obj
+    (fun uptime_s connections (requests_total, requests) workloads sessions
+         cache_entries cache_capacity cache_hits cache_misses active_connections
+         workers queue_capacity shed admitted rejected_candidate rejected_victim
+         released margins_served margin_mean_rel_width latency_mean_us
+         latency_p50_us latency_p90_us latency_p99_us latency_max_us
+         latency_samples slo_objective_ms slo_target slo_burn_1m slo_burn_1h
+         audit ->
+      {
+        uptime_s; connections; requests; requests_total; workloads; sessions;
+        cache_entries; cache_capacity; cache_hits; cache_misses;
+        active_connections; workers; queue_capacity; shed; admitted;
+        rejected_candidate; rejected_victim; released; margins_served;
+        margin_mean_rel_width; latency_mean_us; latency_p50_us; latency_p90_us;
+        latency_p99_us; latency_max_us; latency_samples; slo_objective_ms;
+        slo_target; slo_burn_1m; slo_burn_1h; audit;
+      })
+    (fun s k ->
+      k s.uptime_s s.connections (s.requests_total, s.requests) s.workloads
+        s.sessions s.cache_entries s.cache_capacity s.cache_hits s.cache_misses
+        s.active_connections s.workers s.queue_capacity s.shed s.admitted
+        s.rejected_candidate s.rejected_victim s.released s.margins_served
+        s.margin_mean_rel_width s.latency_mean_us s.latency_p50_us
+        s.latency_p90_us s.latency_p99_us s.latency_max_us s.latency_samples
+        s.slo_objective_ms s.slo_target s.slo_burn_1m s.slo_burn_1h s.audit)
+    (req "uptime_s" num ++ req "connections" int
+   ++ req "requests" request_counts ++ req "workloads" int
+   ++ req "sessions" int
+    ++ section "cache"
+         (req "entries" int ++ req "capacity" int ++ req "hits" int
+        ++ req "misses" int)
+    ++ section "pool"
+         (req "active_connections" int ++ req "workers" int
+        ++ req "queue_capacity" int ++ req "shed" int)
+    ++ section "admission"
+         (req "admitted" int ++ req "rejected_candidate" int
+        ++ req "rejected_victim" int ++ req "released" int
+        ++ lenient "margins" 0 int ++ lenient "margin_mean_rel_width" 0. num)
+    ++ section "latency_us"
+         (req "mean" num ++ req "p50" num ++ req "p90" num ++ req "p99" num
+        ++ req "max" num ++ req "samples" int)
+    ++ section ~optional:true "slo"
+         (lenient "objective_ms" 0. num ++ lenient "target" 0. num
+        ++ lenient "burn_1m" 0. num ++ lenient "burn_1h" 0. num)
+    ++ dft "audit" no_audit audit_stats)
+
+(* The provenance record of {!Contention.Explain}. *)
+let explain =
+  let open Contention.Explain in
+  let contender =
+    obj
+      (fun c_app c_actor c_p c_mu c_tau -> { c_app; c_actor; c_p; c_mu; c_tau })
+      (fun c k -> k c.c_app c.c_actor c.c_p c.c_mu c.c_tau)
+      (req "app" string ++ req "actor" int ++ req "p" num ++ req "mu" num
+     ++ req "tau" num)
+  and fold_step =
+    obj
+      (fun f_app f_actor f_p f_w -> { f_app; f_actor; f_p; f_w })
+      (fun f k -> k f.f_app f.f_actor f.f_p f.f_w)
+      (req "app" string ++ req "actor" int ++ req "p" num ++ req "w" num)
+  and sandwich =
+    obj
+      (fun s_order s_lower s_upper -> { s_order; s_lower; s_upper })
+      (fun s k -> k s.s_order s.s_lower s.s_upper)
+      (req "order" int ++ req "lower" num ++ req "upper" num)
   in
-  let requests =
-    List.filter_map
-      (fun (k, v) ->
-        if k = "total" then None
-        else Option.map (fun n -> (k, n)) (Json.get_int v))
-      requests_obj
-  in
-  let* workloads = field "workloads" Json.get_int json in
-  let* sessions = field "sessions" Json.get_int json in
-  let* cache = field "cache" (fun j -> Some j) json in
-  let* cache_entries = field "entries" Json.get_int cache in
-  let* cache_capacity = field "capacity" Json.get_int cache in
-  let* cache_hits = field "hits" Json.get_int cache in
-  let* cache_misses = field "misses" Json.get_int cache in
-  let* pool = field "pool" (fun j -> Some j) json in
-  let* active_connections = field "active_connections" Json.get_int pool in
-  let* workers = field "workers" Json.get_int pool in
-  let* queue_capacity = field "queue_capacity" Json.get_int pool in
-  let* shed = field "shed" Json.get_int pool in
-  let* admission = field "admission" (fun j -> Some j) json in
-  let* admitted = field "admitted" Json.get_int admission in
-  let* rejected_candidate = field "rejected_candidate" Json.get_int admission in
-  let* rejected_victim = field "rejected_victim" Json.get_int admission in
-  let* released = field "released" Json.get_int admission in
-  (* Margin accounting is absent from pre-margin servers: default to zero so
-     a new client can still read an old server's stats. *)
-  let margins_served =
-    Option.value ~default:0
-      (Option.bind (Json.member "margins" admission) Json.get_int)
-  in
-  let margin_mean_rel_width =
-    Option.value ~default:0.
-      (Option.bind (Json.member "margin_mean_rel_width" admission) Json.get_num)
-  in
-  let* latency = field "latency_us" (fun j -> Some j) json in
-  let* latency_mean_us = field "mean" Json.get_num latency in
-  let* latency_p50_us = field "p50" Json.get_num latency in
-  let* latency_p90_us = field "p90" Json.get_num latency in
-  let* latency_p99_us = field "p99" Json.get_num latency in
-  let* latency_max_us = field "max" Json.get_num latency in
-  let* latency_samples = field "samples" Json.get_int latency in
-  (* SLO block is absent from pre-SLO servers: default to zeros so a new
-     client can still read an old server's stats. *)
-  let slo_num name =
-    match Json.member "slo" json with
-    | None -> 0.
-    | Some slo -> (
-        match Option.bind (Json.member name slo) Json.get_num with
-        | None -> 0.
-        | Some v -> v)
-  in
-  let slo_objective_ms = slo_num "objective_ms" in
-  let slo_target = slo_num "target" in
-  let slo_burn_1m = slo_num "burn_1m" in
-  let slo_burn_1h = slo_num "burn_1h" in
-  (* Like the SLO block, the audit block is absent from pre-audit servers
-     (and from servers running with auditing off the section is all-zero):
-     default everything so old and new peers interoperate. *)
-  let audit =
-    match Json.member "audit" json with
-    | None -> no_audit
-    | Some a ->
-        let num name =
-          Option.value ~default:0.
-            (Option.bind (Json.member name a) Json.get_num)
-        in
-        let int name = int_of_float (num name) in
+  let actor =
+    obj
+      (fun a_index a_name a_proc a_exec a_p a_mu a_contenders a_fold a_sandwich
+           a_wait a_response ->
         {
-          audit_sample = int "sample";
-          audit_submitted = int "submitted";
-          audit_completed = int "completed";
-          audit_dropped = int "dropped";
-          audit_failed = int "failed";
-          audit_mean_err = num "mean_err";
-          audit_max_abs_err = num "max_abs_err";
-          audit_alarms = int "alarms";
-          audit_drifting =
-            Option.value ~default:[]
-              (Option.bind (Json.member "drifting" a) str_list);
-          audit_margin_checked = int "margin_checked";
-          audit_margin_missed = int "margin_missed";
-        }
+          a_index; a_name; a_proc; a_exec; a_p; a_mu; a_contenders; a_fold;
+          a_sandwich; a_wait; a_response;
+        })
+      (fun a k ->
+        k a.a_index a.a_name a.a_proc a.a_exec a.a_p a.a_mu a.a_contenders
+          a.a_fold a.a_sandwich a.a_wait a.a_response)
+      (req "actor" int ++ req "name" string ++ req "proc" int ++ req "exec" num
+     ++ req "p" num ++ req "mu" num ++ req "contenders" (list contender)
+     ++ omit "fold" [] (list fold_step) ++ omit "sandwich" None (some sandwich)
+     ++ req "wait" num ++ req "response" num)
   in
-  Ok
-    {
-      uptime_s;
-      connections;
-      requests;
-      requests_total;
-      workloads;
-      sessions;
-      cache_entries;
-      cache_capacity;
-      cache_hits;
-      cache_misses;
-      active_connections;
-      workers;
-      queue_capacity;
-      shed;
-      admitted;
-      rejected_candidate;
-      rejected_victim;
-      released;
-      margins_served;
-      margin_mean_rel_width;
-      latency_mean_us;
-      latency_p50_us;
-      latency_p90_us;
-      latency_p99_us;
-      latency_max_us;
-      latency_samples;
-      slo_objective_ms;
-      slo_target;
-      slo_burn_1m;
-      slo_burn_1h;
-      audit;
-    }
+  let app =
+    obj
+      (fun x_app x_isolation x_period x_factor x_throughput x_actors ->
+        { x_app; x_isolation; x_period; x_factor; x_throughput; x_actors })
+      (fun x k ->
+        k x.x_app x.x_isolation x.x_period x.x_factor x.x_throughput x.x_actors)
+      (req "app" string ++ req "isolation_period" num ++ req "period" num
+     ++ req "contention_factor" num ++ req "throughput" num
+     ++ req "actors" (list actor))
+  in
+  obj
+    (fun estimator engine usecase apps -> { estimator; engine; usecase; apps })
+    (fun t k -> k t.estimator t.engine t.usecase t.apps)
+    (req "estimator" string ++ req "engine" string
+   ++ req "usecase" (list string) ++ req "apps" (list app))
+
+let upload_reply_to_json = to_json upload_reply
+let upload_reply_of_json = of_json upload_reply
+let estimate_reply_to_json = to_json estimate_reply
+let estimate_reply_of_json = of_json estimate_reply
+let explain_reply_to_json = to_json explain
+let explain_reply_of_json = of_json explain
+let verdict_to_json = to_json verdict
+let verdict_of_json = of_json verdict
+let stats_reply_to_json = to_json stats_reply
+let stats_reply_of_json = of_json stats_reply
+let metrics_reply_to_json = to_json metrics_reply
+let metrics_reply_of_json = of_json metrics_reply
 
 (* ------------------------------------------------------------------ *)
 (* Envelope                                                            *)

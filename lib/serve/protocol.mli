@@ -10,8 +10,12 @@
     never connection drops — a misbehaving client must not crash or stall
     the server.
 
-    Both the server's dispatcher and {!Client} are written against this
-    module, so the codecs are exercised from both ends in the tests. *)
+    Each request and reply shape is declared once, as a {!Codec} value —
+    its fields in wire order with their defaults and leniencies — and that
+    one declaration both prints and reads it.  Requests are a variant on
+    ["cmd"] over the per-command table {!commands}.  Both the server's
+    dispatcher and {!Client} are written against this module, so the
+    codecs are exercised from both ends in the tests. *)
 
 type estimate_row = {
   app : string;
@@ -74,10 +78,8 @@ val default_session : string
 
 val estimator_of_string :
   string -> (Contention.Analysis.estimator, string) result
-(** Accepts the canonical names of {!Contention.Analysis.estimator_name}
-    ("worst-case", "second-order", "fourth-order", "order-M",
-    "composability", "exact"), the short aliases "wc", "o2", "o4", "comp",
-    and a bare integer M >= 2 for [Order M]. *)
+(** {!Contention.Analysis.estimator_of_string}: the one estimator-name
+    grammar, shared with the CLI. *)
 
 val estimator_to_string : Contention.Analysis.estimator -> string
 (** [Contention.Analysis.estimator_name] — the canonical wire name, also
@@ -92,7 +94,14 @@ val request_to_json : ?trace:Obs.Span.ctx -> request -> Json.t
 
 val request_of_json : Json.t -> (request, string) result
 
-val trace_to_json : Obs.Span.ctx -> Json.t
+val commands : request Codec.case list
+(** The per-command table: each command's wire name and fields, in the
+    order {!command_index} numbers them.  The request codec, the server's
+    per-command counters and the wire fuzzer's field mutants all derive
+    from it. *)
+
+val command_index : request -> int
+(** The request's position in {!commands}. *)
 
 val trace_of_request : Json.t -> Obs.Span.ctx option
 (** The request envelope's trace context, if present and well-formed.
@@ -196,21 +205,17 @@ val encoded_estimate_reply_to_json :
 (** {!estimate_reply_to_json} with the rows given as {!encode_results} text;
     it prints the same bytes. *)
 
-val json_of_explain : Contention.Explain.json -> Json.t
-(** Structural copy between the core provenance AST and the wire codec. *)
-
-val explain_json_of_json : Json.t -> Contention.Explain.json
-
 val explain_reply_to_json : Contention.Explain.t -> Json.t
+(** The provenance record: every float printed so that it reparses to the
+    identical double, so {!Contention.Explain.verify} can check a record
+    that crossed the wire. *)
 
 val explain_reply_of_json : Json.t -> (Contention.Explain.t, string) result
-val margin_to_json : Contention.Margin.t -> Json.t
-val margin_of_json : Json.t -> (Contention.Margin.t, string) result
-(** Strict: a present-but-malformed margin object is an error (the lenient
-    case — an {e absent} margin — is handled by {!verdict_of_json}). *)
-
 val verdict_to_json : verdict -> Json.t
 val verdict_of_json : Json.t -> (verdict, string) result
+(** A present margin must be well-formed ({!Contention.Margin.validate});
+    an absent or null one reads as [None]. *)
+
 val stats_reply_to_json : stats_reply -> Json.t
 val stats_reply_of_json : Json.t -> (stats_reply, string) result
 val metrics_reply_to_json : metrics_reply -> Json.t

@@ -570,26 +570,15 @@ let dispatch t (request : Protocol.request) =
       Atomic.set t.stop_requested true;
       Protocol.ok (Json.Obj [ ("stopping", Json.Bool true) ])
 
-(* The names requests are counted under, by command index; "invalid" is a
-   frame that did not decode to a request. *)
+(* The names requests are counted under, by command index: the protocol's
+   command table after "invalid", a frame that did not decode to a
+   request. *)
 let commands =
-  [| "invalid"; "ping"; "upload"; "estimate"; "explain"; "admit"; "release";
-     "cache-put"; "stats"; "metrics"; "shutdown" |]
+  Array.of_list ("invalid" :: List.map Codec.tag Protocol.commands)
 
 let span_names = Array.map (fun cmd -> "serve." ^ cmd) commands
 let invalid_cmd = 0
-
-let cmd_index = function
-  | Protocol.Ping -> 1
-  | Protocol.Upload _ -> 2
-  | Protocol.Estimate _ -> 3
-  | Protocol.Explain _ -> 4
-  | Protocol.Admit _ -> 5
-  | Protocol.Release _ -> 6
-  | Protocol.Cache_put _ -> 7
-  | Protocol.Stats -> 8
-  | Protocol.Metrics -> 9
-  | Protocol.Shutdown -> 10
+let cmd_index request = 1 + Protocol.command_index request
 
 (* A command's request series, registered on its first request — so the
    exposition lists no zero-valued series for commands never seen — and

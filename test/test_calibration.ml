@@ -105,6 +105,30 @@ let test_contended_metrics () =
           Fixtures.check_float ~eps:1e-6 "contended latency" (1075. /. 3.) m.latency)
   | _ -> Alcotest.fail "arity"
 
+(* A period must be finite and positive wherever one is given: NaN and +inf
+   slip past a [<= 0.] test, and a NaN measured period would poison the
+   admission aggregates. *)
+let test_periods_finite_positive () =
+  let a, b = paper_apps () in
+  let ctl = Admission.create ~procs:3 () in
+  ignore (Admission.try_admit ctl a Admission.best_effort);
+  List.iter
+    (fun p ->
+      let rejects what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s accepted period %h" what p
+      in
+      rejects "loads_at_period" (fun () -> ignore (Analysis.loads_at_period a ~period:p));
+      rejects "estimate_calibrated" (fun () ->
+          ignore (Analysis.estimate_calibrated (Analysis.Order 2) [ (a, 300.); (b, p) ]));
+      rejects "app ?period" (fun () ->
+          ignore (Analysis.app ~period:p (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |]));
+      rejects "Admission.observe" (fun () -> Admission.observe ctl "A" ~measured_period:p))
+    [ Float.nan; Float.infinity; 0.; -1. ];
+  Alcotest.(check bool) "no measurement recorded" true
+    (Admission.observed_period ctl "A" = None)
+
 let suite =
   [
     Alcotest.test_case "isolation calibration = plain" `Quick
@@ -116,4 +140,6 @@ let suite =
     Alcotest.test_case "sandwich on random workloads" `Slow
       test_calibration_sandwich_on_random_workloads;
     Alcotest.test_case "contended metrics" `Quick test_contended_metrics;
+    Alcotest.test_case "periods are finite and positive" `Quick
+      test_periods_finite_positive;
   ]

@@ -297,6 +297,12 @@ let test_wirefuzz_line_deterministic () =
   Alcotest.(check bool) "different seed, different stream" true
     (lines 4 <> lines 5)
 
+(* The fuzzer's single-fault mutants come from the protocol's command
+   table; the wire golden test pins their error text. *)
+let test_wirefuzz_field_mutants () =
+  Alcotest.(check (list string))
+    "mutants" (List.map fst Test_wire_golden.mutants) Check.Wirefuzz.field_mutants
+
 let test_wirefuzz_run () =
   let r = Check.Wirefuzz.run ~seeds:60 () in
   (match r.violations with
@@ -332,4 +338,6 @@ let suite =
     Alcotest.test_case "wire fuzz lines deterministic" `Quick
       test_wirefuzz_line_deterministic;
     Alcotest.test_case "wire fuzz campaign" `Slow test_wirefuzz_run;
+    Alcotest.test_case "wire fuzz field mutants" `Quick
+      test_wirefuzz_field_mutants;
   ]

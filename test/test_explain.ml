@@ -1,7 +1,7 @@
 (* Provenance records (Contention.Explain): bit-identical agreement with
    both the reference estimator path and the prepared/kernel path, sandwich
    bracket orientation per truncation parity, the composability fold
-   lineage, a total JSON codec (including the serve-layer wire bridge),
+   lineage, a total JSON codec (the record's codec in Serve.Protocol),
    tamper detection by [verify], estimator-name round-trips, and a golden
    rendering. *)
 
@@ -153,7 +153,10 @@ let test_codec_roundtrip () =
   List.iter
     (fun est ->
       let ex = E.compute est apps in
-      match E.of_json (E.to_json ex) with
+      match
+        Serve.Protocol.explain_reply_of_json
+          (Serve.Protocol.explain_reply_to_json ex)
+      with
       | Error msg -> Alcotest.failf "decode failed: %s" msg
       | Ok ex' ->
           if compare ex ex' <> 0 then
@@ -163,24 +166,60 @@ let test_codec_roundtrip () =
 let test_codec_total () =
   List.iter
     (fun doc ->
-      match E.of_json doc with
+      match Serve.Protocol.explain_reply_of_json doc with
       | Error (_ : string) -> ()
       | Ok _ -> Alcotest.fail "malformed document accepted")
-    [
-      E.Null;
-      E.Num 1.;
-      E.Str "explain";
-      E.Arr [];
-      E.Obj [];
-      E.Obj [ ("estimator", E.Num 3.) ];
-      E.Obj
-        [
-          ("estimator", E.Str "second-order");
-          ("engine", E.Str "mcm");
-          ("usecase", E.Arr []);
-          ("apps", E.Str "nope");
-        ];
-    ]
+    Serve.Json.
+      [
+        Null;
+        Num 1.;
+        Str "explain";
+        Arr [];
+        Obj [];
+        Obj [ ("estimator", Num 3.) ];
+        Obj
+          [
+            ("estimator", Str "second-order");
+            ("engine", Str "mcm");
+            ("usecase", Arr []);
+            ("apps", Str "nope");
+          ];
+        (* Integral fields refuse fractions rather than truncate them. *)
+        Obj
+          [
+            ("estimator", Str "second-order");
+            ("engine", Str "mcm");
+            ("usecase", Arr []);
+            ( "apps",
+              Arr
+                [
+                  Obj
+                    [
+                      ("app", Str "A");
+                      ("isolation_period", Num 1.);
+                      ("period", Num 2.);
+                      ("contention_factor", Num 2.);
+                      ("throughput", Num 0.5);
+                      ( "actors",
+                        Arr
+                          [
+                            Obj
+                              [
+                                ("actor", Num 0.5);
+                                ("name", Str "a");
+                                ("proc", Num 0.);
+                                ("exec", Num 1.);
+                                ("p", Num 0.);
+                                ("mu", Num 0.);
+                                ("contenders", Arr []);
+                                ("wait", Num 0.);
+                                ("response", Num 1.);
+                              ];
+                          ] );
+                    ];
+                ] );
+          ];
+      ]
 
 let test_wire_bridge () =
   (* Through the serve layer: core json -> wire json -> string -> back. *)
@@ -248,15 +287,23 @@ let test_verify_detects_tampering () =
 let test_estimator_names () =
   List.iter
     (fun est ->
-      match E.estimator_of_name (A.estimator_name est) with
+      match A.estimator_of_string (A.estimator_name est) with
       | Ok est' when est' = est -> ()
       | Ok _ -> Alcotest.failf "%s parsed to a different estimator"
                   (A.estimator_name est)
       | Error msg -> Alcotest.failf "%s rejected: %s" (A.estimator_name est) msg)
     [ A.Worst_case; A.Order 2; A.Order 4; A.Order 7; A.Composability; A.Exact ];
+  (* A record names its estimator canonically: verify refuses any other
+     spelling, aliases the CLI and the wire accept ("o2") included. *)
+  let apps = apps_of (workload ()) in
+  let ex = E.compute (A.Order 2) apps in
+  (match E.verify { ex with E.estimator = "o2" } apps with
+  | Error msg ->
+      Alcotest.(check string) "o2 refused" {|unknown estimator "o2"|} msg
+  | Ok () -> Alcotest.fail "record with estimator \"o2\" verified");
   List.iter
     (fun bad ->
-      match E.estimator_of_name bad with
+      match E.verify { ex with E.estimator = bad } apps with
       | Error (_ : string) -> ()
       | Ok _ -> Alcotest.failf "%S accepted" bad)
     [ ""; "o2"; "order-1"; "order-0"; "order-x"; "second order"; "EXACT" ]

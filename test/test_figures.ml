@@ -158,6 +158,35 @@ let test_render_timing_smoke () =
   Alcotest.(check bool) "mentions simulation" true
     (Fixtures.contains ~affix:"simulation of 7 use-cases" rendered)
 
+let test_render_timing_ratio () =
+  (* Fixed timings on both sides of 1: the ratio keeps a decimal, and an
+     analysis slower than simulation says so. *)
+  let s =
+    {
+      Exp.Sweep.workload = workload ();
+      estimators = [];
+      observations = [];
+      timing =
+        {
+          Exp.Sweep.simulation_s = 2.;
+          analysis_s =
+            [
+              (Contention.Analysis.Order 2, 0.5);
+              (Contention.Analysis.Worst_case, 2.);
+              (Contention.Analysis.Exact, 5.);
+            ];
+        };
+    }
+  in
+  Alcotest.(check string)
+    "rendered"
+    "Timing: full use-case sweep on this machine\n\n\
+    \  simulation of 0 use-cases: 2.00 s\n\
+    \  analysis (second-order): 0.50 s  (4.0x faster than simulation)\n\
+    \  analysis (worst-case): 2.00 s  (1.0x faster than simulation)\n\
+    \  analysis (exact): 5.00 s  (2.5x slower than simulation)\n"
+    (Exp.Figures.render_timing s)
+
 let suite =
   [
     Alcotest.test_case "complexity strings" `Quick test_complexity_of;
@@ -167,4 +196,5 @@ let suite =
     Alcotest.test_case "Figure 6 golden on fixed workload" `Slow
       test_fig6_golden;
     Alcotest.test_case "timing render smoke" `Slow test_render_timing_smoke;
+    Alcotest.test_case "timing ratio" `Quick test_render_timing_ratio;
   ]
